@@ -10,6 +10,7 @@ from .errors import (
     DeadlockDetected,
     DflyError,
     InvalidParams,
+    InvariantViolation,
     MalformedDump,
     ManifestError,
     NotADragonfly,
@@ -64,6 +65,7 @@ __all__ = [
     "GroupAssignment",
     "HotspotTraffic",
     "InvalidParams",
+    "InvariantViolation",
     "LOCAL",
     "MalformedDump",
     "ManifestError",

@@ -14,7 +14,7 @@ from . import __version__
 from .deadlock import build_cdg, check_deadlock_free
 from .errors import DflyError
 from .manifest import CSV_HEADER, parse_manifest, run_manifest
-from .routing import emit_fabric_dump, synthesize
+from .routing import ENGINES, emit_fabric_dump, synthesize
 from .topology import DragonflyParams, analytic_flow_counts, build_topology
 
 ENV_OUT_DIR = "DFLYSIM_OUTPUT_DIR"
@@ -136,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("route", help="synthesize LFT and SL2VL tables for one engine")
-    p.add_argument("--engine", required=True, choices=["dla", "d3r", "updn"])
+    p.add_argument("--engine", required=True, choices=list(ENGINES))
     p.add_argument("--params", required=True, metavar="a,h,p[,g]")
     p.add_argument("--dump", help="write the fabric dump to this file")
     p.add_argument("--disable-vl-shift", action="store_true",
@@ -144,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_route)
 
     p = sub.add_parser("verify", help="prove or refute deadlock freedom via the CDG")
-    p.add_argument("--engine", required=True, choices=["dla", "d3r", "updn"])
+    p.add_argument("--engine", required=True, choices=list(ENGINES))
     p.add_argument("--params", required=True, metavar="a,h,p[,g]")
     p.add_argument("--disable-vl-shift", action="store_true")
     p.set_defaults(fn=cmd_verify)

@@ -41,5 +41,9 @@ class DeadlockDetected(DflyError):
     """The simulated fabric stopped making progress with packets in flight."""
 
 
+class InvariantViolation(DflyError):
+    """A simulator invariant failed (credits, buffers, VLs or conservation)."""
+
+
 class ManifestError(DflyError):
     """An experiment manifest is malformed or names an unknown engine/pattern."""

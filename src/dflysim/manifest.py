@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
-from .errors import DflyError, ManifestError
+from .errors import ManifestError
 from .routing import ENGINES, synthesize
 from .simulator import SimConfig, sweep
 from .topology import DragonflyParams, build_topology
@@ -155,37 +155,41 @@ def parse_manifest(text: str) -> Manifest:
             raise ManifestError(
                 f"{where}: unknown engine {engine!r} (expected one of {sorted(ENGINES)})"
             )
+        pattern_args: dict = {}
         try:
             params = DragonflyParams.parse(rec["params"])
             loads = [float(w) for w in rec["loads"].split(",") if w.strip()]
             seeds = [int(w) for w in rec["seeds"].split(",") if w.strip()]
-        except DflyError:
-            raise
+            buffer_depth = int(rec["buffer"])
+            warmup_ms = float(rec.get("warmup_ms", 0.2))
+            measure_ms = float(rec.get("measure_ms", 1.0))
+            data_vls = int(rec.get("data_vls", 8))
+            if "hotspot_fraction" in rec:
+                pattern_args["fraction"] = float(rec["hotspot_fraction"])
+            if "stencil_dims" in rec:
+                pattern_args["dims"] = [int(w) for w in rec["stencil_dims"].split(",")]
         except ValueError as exc:
             raise ManifestError(f"{where}: {exc}") from None
         if not seeds:
             raise ManifestError(f"{where}: needs at least one seed")
         if any(l < 0 or l > 1 for l in loads) or loads != sorted(loads):
             raise ManifestError(f"{where}: loads must be ascending fractions in [0, 1]")
+        if buffer_depth < 1:
+            raise ManifestError(f"{where}: buffer must hold at least one packet per VL")
         pattern = rec["pattern"]
-        pattern_args: dict = {}
-        if "hotspot_fraction" in rec:
-            pattern_args["fraction"] = float(rec["hotspot_fraction"])
-        if "stencil_dims" in rec:
-            pattern_args["dims"] = [int(w) for w in rec["stencil_dims"].split(",")]
         make_pattern(pattern, **pattern_args)  # validates the name/args early
         rows.append(ManifestRow(
             index=index,
             params=params,
             engine=engine,
             voq=_parse_bool(rec["voq"], f"{where}: voq"),
-            buffer_depth=int(rec["buffer"]),
+            buffer_depth=buffer_depth,
             pattern=pattern,
             loads=loads,
             seeds=seeds,
-            warmup_ms=float(rec.get("warmup_ms", 0.2)),
-            measure_ms=float(rec.get("measure_ms", 1.0)),
-            data_vls=int(rec.get("data_vls", 8)),
+            warmup_ms=warmup_ms,
+            measure_ms=measure_ms,
+            data_vls=data_vls,
             pattern_args=pattern_args,
         ))
     manifest_hash = hashlib.sha256(text.encode()).hexdigest()[:16]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import MalformedDump, NotADragonfly, UnsupportedTopology
+from .errors import MalformedDump, NotADragonfly, UnsupportedParams, UnsupportedTopology
 from .topology import GLOBAL, LOCAL, Topology
 
 MAX_SLS = 16
@@ -224,22 +224,18 @@ class GroupOrderSl(SlPolicy):
         return 0 if self.endnode_group[dst] >= self.endnode_group[src] else 1
 
 
-_ROW_CACHE: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-
-def _row(values) -> tuple[int, ...]:
-    t = tuple(values)
-    return _ROW_CACHE.setdefault(t, t)
-
-
-_ZERO_ROW = _row([0] * MAX_SLS)
-_ONE_ROW = _row([1] * MAX_SLS)
-_IDENTITY2_ROW = _row([sl if sl < 2 else 0 for sl in range(MAX_SLS)])
+_ZERO_ROW = (0,) * MAX_SLS
+_ONE_ROW = (1,) * MAX_SLS
+_IDENTITY2_ROW = tuple(sl if sl < 2 else 0 for sl in range(MAX_SLS))
 
 
 @dataclass
 class RoutingConfig:
-    """Per-switch forwarding tables plus SL2VL tables for one engine."""
+    """Per-switch forwarding tables plus SL2VL tables for one engine.
+
+    Synthesized configurations share one SL2VL table object across all
+    switches; parsed dumps keep one table per switch.
+    """
 
     engine: str
     lft: list[list[int]]                       # [switch][dst endnode] -> port
@@ -267,7 +263,7 @@ class RoutingConfig:
         """(SL count, VL count) actually used by this configuration."""
         sls = self.sl_policy.sl_count
         max_vl = 0
-        for per_switch in self.sl2vl:
+        for per_switch in {id(t): t for t in self.sl2vl}.values():  # shared tables once
             for per_op in per_switch:
                 for row in per_op:
                     m = max(row[:sls])
@@ -355,14 +351,14 @@ def _expand_lft(topology: Topology, np_table) -> list[list[int]]:
 
 
 def _kind_tables(topology: Topology, rule) -> list[list[list[tuple[int, ...]]]]:
-    """SL2VL tables where the row depends only on (out kind, in kind)."""
+    """SL2VL tables where the row depends only on (out kind, in kind).
+
+    Port kinds are the same on every switch, so all switches share one table.
+    """
     radix = topology.params.radix
     kinds = [topology.port_kind(pt) for pt in range(radix)]
-    tables = []
-    per_op = [[rule(kinds[op], kinds[ip]) for ip in range(radix)] for op in range(radix)]
-    for _ in range(topology.num_switches):
-        tables.append([list(rows) for rows in per_op])
-    return tables
+    table = [[rule(kinds[op], kinds[ip]) for ip in range(radix)] for op in range(radix)]
+    return [table] * topology.num_switches
 
 
 def route_walk(topology: Topology, config: RoutingConfig, src: int, dst: int):
@@ -457,8 +453,10 @@ def route_d3r(topology: Topology, groups: GroupAssignment | None = None) -> Rout
     )
 
 
-def route_updn(topology: Topology) -> RoutingConfig:
+def route_updn(topology: Topology, groups: GroupAssignment | None = None) -> RoutingConfig:
     """Up*/down* routing on a BFS spanning tree rooted at the lowest switch id.
+
+    `groups` is ignored: up*/down* needs no group structure.
 
     Links are oriented by (tree level, switch id); a route may climb zero or
     more up channels, then descend zero or more down channels, and never turns
@@ -529,14 +527,18 @@ ENGINES = {
 def synthesize(topology: Topology, engine: str,
                groups: GroupAssignment | None = None,
                vl_shift: bool = True) -> RoutingConfig:
-    """Build the routing configuration for one engine by name."""
-    if engine == "dla":
-        return route_dla(topology, groups, vl_shift=vl_shift)
-    if engine == "d3r":
-        return route_d3r(topology, groups)
-    if engine == "updn":
-        return route_updn(topology)
-    raise ValueError(f"unknown engine {engine!r} (expected one of {sorted(ENGINES)})")
+    """Build the routing configuration for one engine by name.
+
+    `vl_shift=False` selects the shift-disabled dla variant; other engines
+    have no VL shift and raise UnsupportedParams for it.
+    """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r} (expected one of {sorted(ENGINES)})")
+    if vl_shift:
+        return ENGINES[engine](topology, groups)
+    if engine != "dla":
+        raise UnsupportedParams(f"engine {engine!r} has no VL shift to disable")
+    return route_dla(topology, groups, vl_shift=False)
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +579,7 @@ def parse_fabric_dump(text: str) -> RoutingConfig:
     header: dict[str, str] = {}
     lfts: list[list[int]] = []
     sl2vls: list[dict[tuple[int, int], tuple[int, ...]]] = []
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}  # interned: equal rows share one tuple
     cur_lft: dict[int, int] | None = None
 
     def fail(lineno, why):
@@ -620,7 +623,7 @@ def parse_fabric_dump(text: str) -> RoutingConfig:
                 fail(lineno, "sl2vl entries must be integers")
             if any(v < 0 or v >= MAX_SLS for v in vls):
                 fail(lineno, "VL index out of range 0..15")
-            sl2vls[-1][(op, ip)] = _row(vls)
+            sl2vls[-1][(op, ip)] = rows.setdefault(vls, vls)
         elif key in ("engine", "sls", "vls", "slpolicy", "groupmap"):
             header[key] = " ".join(words[1:])
         else:

@@ -11,7 +11,9 @@ Model highlights:
 * Input-queued switches. Without VOQ each (input port, VL) keeps one FIFO and
   only its head packet competes for an output (head-of-line blocking).
   With VOQ the FIFO is split per output port, sharing the same VL buffer
-  space, so packets behind a blocked head can still be relayed.
+  space, so packets behind a blocked head can still be relayed. Both modes
+  key the FIFOs of an (input port, VL) lane by output port; without VOQ the
+  key is one constant, so the lane holds a single FIFO.
 * Each output port runs an independent round-robin arbiter over (input, VL)
   pairs; a grant occupies both the output and the input for one packet time.
 * Open-loop injection: a Bernoulli draw per source per packet slot at the
@@ -27,7 +29,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 
-from .errors import DeadlockDetected, InvalidParams
+from .errors import DeadlockDetected, InvalidParams, InvariantViolation
 from .routing import RoutingConfig
 from .topology import GLOBAL, LOCAL, Topology
 from .traffic import TrafficPattern
@@ -41,7 +43,7 @@ _E_HCA_CREDIT = 2
 _E_ENQ = 3
 _E_ARB = 4
 _E_CREDIT = 5
-_E_INFREE = 6
+_E_RELEASE = 6
 _E_DELIVER = 7
 _E_WATCHDOG = 8
 
@@ -170,8 +172,7 @@ class SimResult:
 
 class _Switch:
     __slots__ = (
-        "fifos", "occ", "in_busy", "out_busy", "credits",
-        "pending", "rr_last", "in_peer", "out_peer",
+        "fifos", "occ", "in_busy", "out_busy", "credits", "pending", "rr_last",
     )
 
 
@@ -211,6 +212,7 @@ class _FabricSim:
         self.cfg = cfg
         topo = cfg.topology
         self.topo = topo
+        self.peer = topo.peer
         self.lft = cfg.routing.lft
         self.vlmap = cfg.routing.sl2vl
         self.sl_for = cfg.routing.sl_policy.sl_for
@@ -239,28 +241,13 @@ class _FabricSim:
         self.switches = []
         for s in range(topo.num_switches):
             sw = _Switch()
-            if cfg.voq:
-                sw.fifos = [[dict() for _ in range(nvl)] for _ in range(self.radix)]
-            else:
-                sw.fifos = [[[] for _ in range(nvl)] for _ in range(self.radix)]
+            sw.fifos = [[{} for _ in range(nvl)] for _ in range(self.radix)]
             sw.occ = [[0] * nvl for _ in range(self.radix)]
             sw.in_busy = [0] * self.radix
             sw.out_busy = [0] * self.radix
             sw.credits = [[self.depth] * nvl for _ in range(self.radix)]
             sw.pending = [dict() for _ in range(self.radix)]
             sw.rr_last = [None] * self.radix
-            sw.in_peer = [None] * self.radix
-            sw.out_peer = [None] * self.radix
-            for pt in range(self.radix):
-                peer = topo.peer[s][pt]
-                if peer is None:
-                    continue
-                if peer[0] == "h":
-                    sw.in_peer[pt] = ("h", peer[1])
-                    sw.out_peer[pt] = ("h", peer[1])
-                else:
-                    sw.in_peer[pt] = ("s", peer[1], peer[2])
-                    sw.out_peer[pt] = ("s", peer[1], peer[2])
             self.switches.append(sw)
 
         # HCA (endnode) state
@@ -311,23 +298,18 @@ class _FabricSim:
         sw = self.switches[s]
         occ = sw.occ[ip]
         occ[vl] += 1
-        assert occ[vl] <= self.depth, "VL buffer overflow: credit protocol broken"
+        if occ[vl] > self.depth:
+            raise InvariantViolation("VL buffer overflow: credit protocol broken")
         op = self.lft[s][pkt[1]]
-        if self.voq:
-            lane = sw.fifos[ip][vl]
-            q = lane.get(op)
-            if q is None:
-                q = lane[op] = []
-            q.append(pkt)
-            if len(q) == 1:
-                sw.pending[op][(ip, vl)] = pkt
-                self.arb(s, op, t)
-        else:
-            q = sw.fifos[ip][vl]
-            q.append(pkt)
-            if len(q) == 1:
-                sw.pending[op][(ip, vl)] = pkt
-                self.arb(s, op, t)
+        lane = sw.fifos[ip][vl]
+        key = op if self.voq else 0
+        q = lane.get(key)
+        if q is None:
+            q = lane[key] = []
+        q.append(pkt)
+        if len(q) == 1:
+            sw.pending[op][(ip, vl)] = pkt
+            self.arb(s, op, t)
 
     def arb(self, s, op, t):
         sw = self.switches[s]
@@ -362,38 +344,32 @@ class _FabricSim:
         sw.rr_last[op] = (ip, vl)
         del sw.pending[op][(ip, vl)]
 
-        if self.voq:
-            q = sw.fifos[ip][vl][op]
-            q.pop(0)
-            if q:
-                sw.pending[op][(ip, vl)] = q[0]
-        else:
-            q = sw.fifos[ip][vl]
-            q.pop(0)
-            if q:
-                nxt = q[0]
-                op2 = self.lft[s][nxt[1]]
-                sw.pending[op2][(ip, vl)] = nxt
-                if op2 != op:
-                    self.push(t, _E_ARB, s, op2)
+        # under VOQ the next head waits for the same output (op2 == op)
+        q = sw.fifos[ip][vl][op if self.voq else 0]
+        q.pop(0)
+        if q:
+            nxt = q[0]
+            op2 = self.lft[s][nxt[1]]
+            sw.pending[op2][(ip, vl)] = nxt
+            if op2 != op:
+                self.push(t, _E_ARB, s, op2)
         sw.occ[ip][vl] -= 1
 
-        if self.check_dla_vl and ovl == 1:
-            assert self.kind[op] == LOCAL and pkt[3] == GLOBAL, \
-                "VL 1 is only legal on a local channel right after a global hop"
+        if self.check_dla_vl and ovl == 1 and (self.kind[op] != LOCAL or pkt[3] != GLOBAL):
+            raise InvariantViolation("VL 1 is only legal on a local channel right after a global hop")
 
         # return the freed slot upstream once our tail has left
-        up = sw.in_peer[ip]
+        peer = self.peer[s]
+        up = peer[ip]
         if up[0] == "h":
             self.push(t_free + self.credit_ps, _E_HCA_CREDIT, up[1])
         else:
             self.push(t_free + self.credit_ps, _E_CREDIT, up[1], up[2], vl)
 
-        self.push(t_free, _E_ARB, s, op)
-        self.push(t_free, _E_INFREE, s)
+        self.push(t_free, _E_RELEASE, s, op)
 
         pkt[3] = self.kind[op]
-        down = sw.out_peer[op]
+        down = peer[op]
         if down[0] == "h":
             self.push(t + self.link_ps + self.pkt_ps, _E_DELIVER, down[1])
             self.push(t + self.link_ps + self.pkt_ps + self.credit_ps, _E_CREDIT, s, op, ovl)
@@ -429,9 +405,12 @@ class _FabricSim:
             elif code == _E_CREDIT:
                 sw = self.switches[a]
                 sw.credits[b][c] += 1
-                assert sw.credits[b][c] <= self.depth, "credit over-return"
+                if sw.credits[b][c] > self.depth:
+                    raise InvariantViolation("credit over-return")
                 self.arb(a, b, t)
-            elif code == _E_INFREE:
+            elif code == _E_RELEASE:
+                # output b first, then every output the freed input may feed
+                self.arb(a, b, t)
                 sw = self.switches[a]
                 busy = sw.out_busy
                 for op in range(self.radix):
@@ -451,7 +430,8 @@ class _FabricSim:
                 self.hca_try(a, t)
             elif code == _E_HCA_CREDIT:
                 self.hca_credit[a] += 1
-                assert self.hca_credit[a] <= self.depth
+                if self.hca_credit[a] > self.depth:
+                    raise InvariantViolation("HCA credit over-return")
                 self.hca_try(a, t)
             elif code == _E_SLOT:
                 src_load = self.src_load
@@ -477,8 +457,8 @@ class _FabricSim:
 
         # conservation audit: everything injected is delivered, queued, or in flight
         queued = sum(len(q) - h for q, h in zip(self.hca_q, self.hca_qhead))
-        assert self.injected == self.delivered + queued + self.in_fabric, \
-            "flit conservation violated"
+        if self.injected != self.delivered + queued + self.in_fabric:
+            raise InvariantViolation("flit conservation violated")
 
     def result(self) -> SimResult:
         cfg = self.cfg

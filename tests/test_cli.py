@@ -83,6 +83,13 @@ def test_verify_usage_error_is_2(capsys):
     assert main(["verify", "--engine", "dla", "--params", "nope"]) == 2
 
 
+@pytest.mark.parametrize("verb", ["route", "verify"])
+@pytest.mark.parametrize("engine", ["d3r", "updn"])
+def test_disable_vl_shift_on_engine_without_shift_is_2(verb, engine, capsys):
+    assert main([verb, "--engine", engine, "--params", "2,1,1", "--disable-vl-shift"]) == 2
+    assert "no VL shift" in capsys.readouterr().err
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "dflysim.cli", "verify", "--engine", "updn",
@@ -181,6 +188,23 @@ def test_sweep_honors_env_output_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["sweep", str(manifest)]) == 0
     assert len(list(env_dir.glob("*.csv"))) == 1
+
+
+@pytest.mark.parametrize("old, new", [
+    ("buffer=4", "buffer=abc"),
+    ("buffer=4", "buffer=0"),
+    ("warmup_ms=0.05", "warmup_ms=x"),
+    ("measure_ms=0.2", "measure_ms=x"),
+    ("buffer=4", "buffer=4\ndata_vls=x"),
+    ("pattern=uniform", "pattern=hotspot\nhotspot_fraction=x"),
+    ("pattern=uniform", "pattern=stencil3d\nstencil_dims=2,x,1"),
+])
+def test_sweep_bad_row_value_names_the_row_and_exits_2(tmp_path, capsys, old, new):
+    manifest = _write_manifest(tmp_path, TINY_MANIFEST.replace(old, new, 1))
+    out_dir = tmp_path / "o"
+    assert main(["sweep", str(manifest), "--out-dir", str(out_dir)]) == 2
+    assert "row 1" in capsys.readouterr().err
+    assert not out_dir.exists()  # rejected while parsing, before any row runs
 
 
 def test_sweep_gates_large_fabrics(tmp_path, capsys):

@@ -4,6 +4,7 @@ from dflysim import (
     DragonflyParams,
     MalformedDump,
     NotADragonfly,
+    UnsupportedParams,
     build_topology,
     discover_groups,
     emit_fabric_dump,
@@ -282,6 +283,17 @@ def test_synthesize_dispatch_and_unknown_engine():
     assert synthesize(topo, "updn").engine == "updn"
     with pytest.raises(ValueError):
         synthesize(topo, "lash")
+    # only dla has a VL shift to disable
+    assert synthesize(topo, "dla", vl_shift=False).vl_shift_disabled
+    for engine in ("d3r", "updn"):
+        with pytest.raises(UnsupportedParams):
+            synthesize(topo, engine, vl_shift=False)
+
+
+@pytest.mark.parametrize("engine", ["dla", "d3r", "updn"])
+def test_synthesized_switches_share_one_sl2vl_table(engine):
+    config = synthesize(build_topology(DragonflyParams(4, 2, 2)), engine)
+    assert all(table is config.sl2vl[0] for table in config.sl2vl)
 
 
 def test_minimal_engines_require_fully_connected_grouping():

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from dflysim import (
@@ -78,6 +82,57 @@ def test_arbiter_wraps_after_last_granted():
     cands = [(0, 0), (1, 0), (2, 1)]
     assert arbitrate_output((2, 1), cands, lambda k: True) == (0, 0)
     assert arbitrate_output((1, 0), cands, lambda k: True) == (2, 1)
+
+
+# -- pinned results -------------------------------------------------------------
+
+# result_hash of six saturation runs at 72 endnodes (load 1.0, seed 1,
+# 0.05 ms warm-up + 0.2 ms window). A change here is a model change.
+PINNED_RESULTS = {
+    ("dla", True): "a0a703a990f8a3f6",
+    ("dla", False): "1cc7cd9a529469db",
+    ("d3r", True): "d226ac5ea1b81318",
+    ("d3r", False): "0ff3cca646423aff",
+    ("updn", True): "7cc1aa7c96e75be5",
+    ("updn", False): "e3289040b02a63cb",
+}
+
+
+@pytest.mark.parametrize("engine, voq", sorted(PINNED_RESULTS))
+def test_saturation_results_are_pinned(engine, voq):
+    r = run_sim(_config(engine, voq=voq, offered_load=1.0, seed=1,
+                        warmup_s=0.05e-3, measure_s=0.2e-3))
+    assert r.result_hash == PINNED_RESULTS[(engine, voq)]
+
+
+# -- invariants -----------------------------------------------------------------
+
+_BROKEN_CREDITS = """
+import sys
+from dflysim import DragonflyParams, InvariantViolation, UniformTraffic, build_topology, synthesize
+from dflysim.simulator import SimConfig, _FabricSim
+
+topo = build_topology(DragonflyParams(2, 1, 1))
+sim = _FabricSim(SimConfig(
+    topology=topo, routing=synthesize(topo, "dla"), pattern=UniformTraffic().bind(6, 1),
+    buffer_depth=2, warmup_s=0.02e-3, measure_s=0.1e-3))
+for sw in sim.switches:  # one credit more than the downstream buffer holds
+    for row in sw.credits:
+        row[:] = [c + 1 for c in row]
+try:
+    sim.run()
+except InvariantViolation as exc:
+    print("optimize", sys.flags.optimize, "InvariantViolation:", exc)
+"""
+
+
+def test_broken_credit_protocol_raises_typed_error_under_python_O():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_CREDITS],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "optimize 1 InvariantViolation: credit over-return" in proc.stdout
 
 
 # -- config validation ----------------------------------------------------------
