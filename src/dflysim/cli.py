@@ -20,12 +20,8 @@ from .topology import DragonflyParams, analytic_flow_counts, build_topology
 ENV_OUT_DIR = "DFLYSIM_OUTPUT_DIR"
 
 
-def _parse_params(text: str) -> DragonflyParams:
-    return DragonflyParams.parse(text)
-
-
 def cmd_build(args) -> int:
-    params = _parse_params(args.params)
+    params = DragonflyParams.parse(args.params)
     topo = build_topology(params)
     print(f"N={params.num_endnodes} groups={params.g} "
           f"switches={params.num_switches} radix={params.radix}")
@@ -41,7 +37,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_route(args) -> int:
-    params = _parse_params(args.params)
+    params = DragonflyParams.parse(args.params)
     topo = build_topology(params)
     config = synthesize(topo, args.engine, vl_shift=not args.disable_vl_shift)
     sls, vls = config.resources
@@ -54,7 +50,7 @@ def cmd_route(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params = _parse_params(args.params)
+    params = DragonflyParams.parse(args.params)
     topo = build_topology(params)
     config = synthesize(topo, args.engine, vl_shift=not args.disable_vl_shift)
     report = check_deadlock_free(build_cdg(topo, config))
@@ -89,26 +85,31 @@ def cmd_sweep(args) -> int:
 
 def cmd_plot_data(args) -> int:
     rows = []
-    for path in args.files:
-        if path.endswith(".json"):
-            import json
+    try:
+        for path in args.files:
+            if path.endswith(".json"):
+                import json
 
+                with open(path) as fh:
+                    doc = json.load(fh)
+                row = doc["row"]
+                for run in doc["runs"]:
+                    rows.append((row["engine"], int(row["voq"]), row["buffer"],
+                                 float(run["offered"]), run["seed"],
+                                 f"{run['accepted']:.6f}"))
+                continue
             with open(path) as fh:
-                doc = json.load(fh)
-            row = doc["row"]
-            for run in doc["runs"]:
-                rows.append((row["engine"], int(row["voq"]), row["buffer"],
-                             float(run["offered"]), run["seed"],
-                             f"{run['accepted']:.6f}"))
-            continue
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#") or line == CSV_HEADER:
-                    continue
-                load, accepted, engine, voq, buffer_depth, seed = line.split(",")
-                rows.append((engine, int(voq), int(buffer_depth), float(load),
-                             int(seed), accepted))
+                for line in fh:
+                    line = line.strip()
+                    if not line or line.startswith("#") or line == CSV_HEADER:
+                        continue
+                    load, accepted, engine, voq, buffer_depth, seed = line.split(",")
+                    rows.append((engine, int(voq), int(buffer_depth), float(load),
+                                 int(seed), accepted))
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        print(f"error: {path}: not a result file ({type(exc).__name__}: {exc})",
+              file=sys.stderr)
+        return 2
     rows.sort()
     lines = [CSV_HEADER]
     for engine, voq, buffer_depth, load, seed, accepted in rows:

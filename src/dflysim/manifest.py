@@ -30,9 +30,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
-from .errors import ManifestError
+from .errors import InvalidParams, ManifestError
 from .routing import ENGINES, synthesize
-from .simulator import SimConfig, sweep
+from .simulator import SimConfig, check_run_params, sweep
 from .topology import DragonflyParams, build_topology
 from .traffic import make_pattern
 
@@ -168,14 +168,11 @@ def parse_manifest(text: str) -> Manifest:
                 pattern_args["fraction"] = float(rec["hotspot_fraction"])
             if "stencil_dims" in rec:
                 pattern_args["dims"] = [int(w) for w in rec["stencil_dims"].split(",")]
-        except ValueError as exc:
+            check_run_params(buffer_depth, data_vls, warmup_ms * 1e-3, measure_ms * 1e-3, loads)
+        except (ValueError, InvalidParams) as exc:
             raise ManifestError(f"{where}: {exc}") from None
         if not seeds:
             raise ManifestError(f"{where}: needs at least one seed")
-        if any(l < 0 or l > 1 for l in loads) or loads != sorted(loads):
-            raise ManifestError(f"{where}: loads must be ascending fractions in [0, 1]")
-        if buffer_depth < 1:
-            raise ManifestError(f"{where}: buffer must hold at least one packet per VL")
         pattern = rec["pattern"]
         make_pattern(pattern, **pattern_args)  # validates the name/args early
         rows.append(ManifestRow(

@@ -6,8 +6,9 @@ Model highlights:
   Buffer slots are whole packets (one flow-control unit per packet); a packet
   advances only when the downstream VL buffer has a free slot.
 * Events move whole packets with flit-resolution timing: all times are integer
-  picoseconds, the flit time must divide evenly into the link rate, and a
-  packet occupies its link for packet_flits * flit_time.
+  picoseconds, and a packet occupies its link for MTU / FLIT_SIZE flit times.
+  The link model (rate, MTU, flit size, wire, pipeline and credit latencies)
+  is fixed by the module constants below.
 * Input-queued switches. Without VOQ each (input port, VL) keeps one FIFO and
   only its head packet competes for an output (head-of-line blocking).
   With VOQ the FIFO is split per output port, sharing the same VL buffer
@@ -27,6 +28,7 @@ import hashlib
 import heapq
 import json
 import random
+from collections import deque
 from dataclasses import dataclass, replace
 
 from .errors import DeadlockDetected, InvalidParams, InvariantViolation
@@ -36,16 +38,43 @@ from .traffic import TrafficPattern
 
 _PS = 10**12
 
+# the fixed link model; SimConfig.canonical() reports every value
+LINK_RATE = 32_000_000_000  # bits/s effective
+MTU = 4096                  # bytes
+FLIT_SIZE = 64              # bytes
+LINK_LATENCY_S = 40e-9
+PIPELINE_LATENCY_S = 100e-9
+CREDIT_LATENCY_S = 40e-9
+
+PACKET_PS = MTU // FLIT_SIZE * (FLIT_SIZE * 8 * _PS // LINK_RATE)  # exact: 16 ns flits
+_LINK_PS = int(round(LINK_LATENCY_S * _PS))
+_PIPE_PS = int(round(PIPELINE_LATENCY_S * _PS))
+_CREDIT_PS = int(round(CREDIT_LATENCY_S * _PS))
+
 # event codes
 _E_SLOT = 0
-_E_HCA_TRY = 1
-_E_HCA_CREDIT = 2
-_E_ENQ = 3
-_E_ARB = 4
-_E_CREDIT = 5
-_E_RELEASE = 6
-_E_DELIVER = 7
-_E_WATCHDOG = 8
+_E_HCA = 1       # HCA a: b credits (0 or 1) come back, then try to inject
+_E_ENQ = 2
+_E_ARB = 3       # switch a, output b: a credit on VL c comes back if c >= 0, then arbitrate
+_E_RELEASE = 4
+_E_DELIVER = 5
+_E_WATCHDOG = 6
+
+
+def check_run_params(buffer_depth, data_vls, warmup_s, measure_s, loads):
+    """Range checks on the run parameters every caller may set (NaN fails too)."""
+    if buffer_depth < 1:
+        raise InvalidParams("buffer must hold at least one packet per VL")
+    if not 1 <= data_vls <= 15:
+        raise InvalidParams("data_vls must be in 1..15")
+    if not warmup_s >= 0:
+        raise InvalidParams("warm-up must not be negative")
+    if not measure_s * _PS >= 1:
+        raise InvalidParams("measurement window must be at least 1 ps")
+    if not all(0 <= load <= 1 for load in loads):
+        raise InvalidParams("loads must be within [0, 1]")
+    if loads != sorted(loads):
+        raise InvalidParams("loads must be sorted ascending")
 
 
 @dataclass
@@ -59,48 +88,19 @@ class SimConfig:
     voq: bool = True
     buffer_depth: int = 16          # packets per VL
     data_vls: int = 8
-    link_rate: int = 32_000_000_000  # bits/s effective
-    mtu: int = 4096                  # bytes
-    flit_size: int = 64              # bytes
     warmup_s: float = 0.2e-3
     measure_s: float = 1.0e-3
     seed: int = 1
-    link_latency_s: float = 40e-9
-    pipeline_latency_s: float = 100e-9
-    credit_latency_s: float = 40e-9
     stall_horizon_s: float | None = None  # None: 10x max warm-up delivery gap, min 1 ms
 
     def __post_init__(self):
-        if self.buffer_depth < 1:
-            raise InvalidParams("buffer_depth must hold at least one packet per VL")
-        if not (0.0 <= self.offered_load <= 1.0):
-            raise InvalidParams("offered_load must be within [0, 1]")
-        if not (1 <= self.data_vls <= 15):
-            raise InvalidParams("data_vls must be in 1..15")
-        if self.mtu % self.flit_size != 0:
-            raise InvalidParams("flit_size must divide mtu")
-        self.link_rate = int(self.link_rate)
-        if (self.flit_size * 8 * _PS) % self.link_rate != 0:
-            raise InvalidParams("flit time must be an integer number of picoseconds")
+        check_run_params(self.buffer_depth, self.data_vls, self.warmup_s, self.measure_s,
+                         [self.offered_load])
         _, vls_needed = self.routing.resources
         if vls_needed > self.data_vls:
             raise InvalidParams(
                 f"routing needs {vls_needed} VLs but only {self.data_vls} data VLs configured"
             )
-
-    # -- derived timing (integer picoseconds) --
-
-    @property
-    def flit_ps(self) -> int:
-        return self.flit_size * 8 * _PS // self.link_rate
-
-    @property
-    def packet_flits(self) -> int:
-        return self.mtu // self.flit_size
-
-    @property
-    def packet_ps(self) -> int:
-        return self.packet_flits * self.flit_ps
 
     @property
     def warmup_ps(self) -> int:
@@ -122,15 +122,15 @@ class SimConfig:
             "voq": self.voq,
             "buffer_depth": self.buffer_depth,
             "data_vls": self.data_vls,
-            "link_rate": self.link_rate,
-            "mtu": self.mtu,
-            "flit_size": self.flit_size,
+            "link_rate": LINK_RATE,
+            "mtu": MTU,
+            "flit_size": FLIT_SIZE,
             "warmup_s": self.warmup_s,
             "measure_s": self.measure_s,
             "seed": self.seed,
-            "link_latency_s": self.link_latency_s,
-            "pipeline_latency_s": self.pipeline_latency_s,
-            "credit_latency_s": self.credit_latency_s,
+            "link_latency_s": LINK_LATENCY_S,
+            "pipeline_latency_s": PIPELINE_LATENCY_S,
+            "credit_latency_s": CREDIT_LATENCY_S,
             "stall_horizon_s": self.stall_horizon_s,
         }
 
@@ -179,30 +179,19 @@ class _Switch:
 def arbitrate_output(last_granted, candidates, eligible):
     """Round-robin pick over (input-port, vl) keys with per-output memory.
 
-    `candidates` must be sorted; scanning starts after `last_granted` and
-    wraps. Returns the first key for which eligible(key) is true (credits
-    available, input idle), or None — never a creditless pick while an
-    eligible candidate exists (work conserving).
+    One pass over `candidates` in any order. Returns the smallest key after
+    `last_granted` for which eligible(key) is true (credits available, input
+    idle), else the smallest eligible key (the scan wraps), else None: never
+    a creditless pick while an eligible candidate exists (work conserving).
     """
-    n = len(candidates)
-    if n == 0:
-        return None
-    if last_granted is None:
-        start = 0
-    else:
-        lo, hi = 0, n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if candidates[mid] <= last_granted:
-                lo = mid + 1
-            else:
-                hi = mid
-        start = lo
-    for k in range(n):
-        key = candidates[(start + k) % n]
-        if eligible(key):
-            return key
-    return None
+    after = wrapped = None
+    for key in candidates:
+        if last_granted is not None and key > last_granted:
+            if (after is None or key < after) and eligible(key):
+                after = key
+        elif after is None and (wrapped is None or key < wrapped) and eligible(key):
+            wrapped = key
+    return wrapped if after is None else after
 
 
 class _FabricSim:
@@ -220,10 +209,6 @@ class _FabricSim:
         self.kind = [topo.port_kind(pt) for pt in range(self.radix)]
         self.check_dla_vl = cfg.routing.engine == "dla" and not cfg.routing.vl_shift_disabled
 
-        self.pkt_ps = cfg.packet_ps
-        self.link_ps = int(round(cfg.link_latency_s * _PS))
-        self.pipe_ps = int(round(cfg.pipeline_latency_s * _PS))
-        self.credit_ps = int(round(cfg.credit_latency_s * _PS))
         self.warm_ps = cfg.warmup_ps
         self.end_ps = cfg.warmup_ps + cfg.measure_ps
 
@@ -251,8 +236,7 @@ class _FabricSim:
             self.switches.append(sw)
 
         # HCA (endnode) state
-        self.hca_q = [[] for _ in range(n)]
-        self.hca_qhead = [0] * n  # pop index (lists beat deques for bulk append)
+        self.hca_q = [deque() for _ in range(n)]
         self.hca_busy = [0] * n
         self.hca_credit = [self.depth] * n
 
@@ -268,7 +252,7 @@ class _FabricSim:
         self.heap: list = []
         self.seq = 0
 
-    def push(self, t, code, a=0, b=0, c=0, d=None):
+    def push(self, t, code, a=0, b=0, c=-1, d=None):
         self.seq += 1
         heapq.heappush(self.heap, (t, self.seq, code, a, b, c, d))
 
@@ -276,21 +260,16 @@ class _FabricSim:
 
     def hca_try(self, e, t):
         q = self.hca_q[e]
-        head = self.hca_qhead[e]
-        if head >= len(q) or self.hca_busy[e] > t or self.hca_credit[e] <= 0:
+        if not q or self.hca_busy[e] > t or self.hca_credit[e] <= 0:
             return
-        pkt = q[head]
-        self.hca_qhead[e] = head + 1
-        if head > 4096:  # reclaim drained prefix
-            del q[: head + 1]
-            self.hca_qhead[e] = 0
+        pkt = q.popleft()
         self.hca_credit[e] -= 1
-        self.hca_busy[e] = t + self.pkt_ps
+        self.hca_busy[e] = t + PACKET_PS
         self.in_fabric += 1
         sw = self.topo.switch_of(e)
         ip = self.topo.attach_port(e)
-        self.push(t + self.link_ps + self.pipe_ps, _E_ENQ, sw, ip, 0, pkt)
-        self.push(t + self.pkt_ps, _E_HCA_TRY, e)
+        self.push(t + _LINK_PS + _PIPE_PS, _E_ENQ, sw, ip, 0, pkt)
+        self.push(t + PACKET_PS, _E_HCA, e)
 
     # -- switch side ------------------------------------------------------
 
@@ -329,7 +308,7 @@ class _FabricSim:
             pkt = pend[key]
             return credits[vrow[ip][pkt[2]]] > 0
 
-        key = arbitrate_output(sw.rr_last[op], sorted(pend), eligible)
+        key = arbitrate_output(sw.rr_last[op], pend, eligible)
         if key is not None:
             ip, vl = key
             pkt = pend[key]
@@ -338,7 +317,7 @@ class _FabricSim:
     def grant(self, s, op, ip, vl, ovl, pkt, t):
         sw = self.switches[s]
         sw.credits[op][ovl] -= 1
-        t_free = t + self.pkt_ps
+        t_free = t + PACKET_PS
         sw.out_busy[op] = t_free
         sw.in_busy[ip] = t_free
         sw.rr_last[op] = (ip, vl)
@@ -362,19 +341,19 @@ class _FabricSim:
         peer = self.peer[s]
         up = peer[ip]
         if up[0] == "h":
-            self.push(t_free + self.credit_ps, _E_HCA_CREDIT, up[1])
+            self.push(t_free + _CREDIT_PS, _E_HCA, up[1], 1)
         else:
-            self.push(t_free + self.credit_ps, _E_CREDIT, up[1], up[2], vl)
+            self.push(t_free + _CREDIT_PS, _E_ARB, up[1], up[2], vl)
 
         self.push(t_free, _E_RELEASE, s, op)
 
         pkt[3] = self.kind[op]
         down = peer[op]
         if down[0] == "h":
-            self.push(t + self.link_ps + self.pkt_ps, _E_DELIVER, down[1])
-            self.push(t + self.link_ps + self.pkt_ps + self.credit_ps, _E_CREDIT, s, op, ovl)
+            self.push(t + _LINK_PS + PACKET_PS, _E_DELIVER, down[1])
+            self.push(t + _LINK_PS + PACKET_PS + _CREDIT_PS, _E_ARB, s, op, ovl)
         else:
-            self.push(t + self.link_ps + self.pipe_ps, _E_ENQ, down[1], down[2], ovl, pkt)
+            self.push(t + _LINK_PS + _PIPE_PS, _E_ENQ, down[1], down[2], ovl, pkt)
 
     # -- main loop --------------------------------------------------------
 
@@ -401,12 +380,11 @@ class _FabricSim:
             if code == _E_ENQ:
                 self.enqueue(a, b, c, d, t)
             elif code == _E_ARB:
-                self.arb(a, b, t)
-            elif code == _E_CREDIT:
-                sw = self.switches[a]
-                sw.credits[b][c] += 1
-                if sw.credits[b][c] > self.depth:
-                    raise InvariantViolation("credit over-return")
+                if c >= 0:
+                    credits = self.switches[a].credits[b]
+                    credits[c] += 1
+                    if credits[c] > self.depth:
+                        raise InvariantViolation("credit over-return")
                 self.arb(a, b, t)
             elif code == _E_RELEASE:
                 # output b first, then every output the freed input may feed
@@ -426,10 +404,8 @@ class _FabricSim:
                     if gap > self.max_warm_gap:
                         self.max_warm_gap = gap
                 self.last_delivery = t
-            elif code == _E_HCA_TRY:
-                self.hca_try(a, t)
-            elif code == _E_HCA_CREDIT:
-                self.hca_credit[a] += 1
+            elif code == _E_HCA:
+                self.hca_credit[a] += b
                 if self.hca_credit[a] > self.depth:
                     raise InvariantViolation("HCA credit over-return")
                 self.hca_try(a, t)
@@ -442,8 +418,8 @@ class _FabricSim:
                         self.injected += 1
                         self.hca_q[e].append([e, dst, sl_for(e, dst), "tc"])
                         self.hca_try(e, t)
-                if t + self.pkt_ps < end:
-                    self.push(t + self.pkt_ps, _E_SLOT)
+                if t + PACKET_PS < end:
+                    self.push(t + PACKET_PS, _E_SLOT)
             else:  # _E_WATCHDOG
                 if horizon_ps is None:
                     horizon_ps = max(10 * self.max_warm_gap, _PS // 1000)  # >= 1 ms
@@ -456,7 +432,7 @@ class _FabricSim:
                 self.push(t + horizon_ps, _E_WATCHDOG)
 
         # conservation audit: everything injected is delivered, queued, or in flight
-        queued = sum(len(q) - h for q, h in zip(self.hca_q, self.hca_qhead))
+        queued = sum(map(len, self.hca_q))
         if self.injected != self.delivered + queued + self.in_fabric:
             raise InvariantViolation("flit conservation violated")
 
@@ -464,7 +440,7 @@ class _FabricSim:
         cfg = self.cfg
         counted = self.pattern.counted_endnodes()
         measured = sum(self.measured_by_dst[e] for e in counted)
-        norm = self.pkt_ps / cfg.measure_ps
+        norm = PACKET_PS / cfg.measure_ps
         accepted = measured * norm / len(counted) if counted else 0.0
         per_endnode = tuple(round(self.measured_by_dst[e] * norm, 9) for e in range(self.n))
         return SimResult(
@@ -501,10 +477,8 @@ def run_sim(config: SimConfig) -> SimResult:
 def sweep(config: SimConfig, loads) -> list[SimResult]:
     """One independent run per load point; run i uses seed = base seed + i."""
     loads = list(loads)
-    if any(l < 0 or l > 1 for l in loads):
-        raise InvalidParams("loads must be within [0, 1]")
-    if loads != sorted(loads):
-        raise InvalidParams("loads must be sorted ascending")
+    check_run_params(config.buffer_depth, config.data_vls, config.warmup_s, config.measure_s,
+                     loads)
     out = []
     for i, load in enumerate(loads):
         out.append(run_sim(replace(config, offered_load=load, seed=config.seed + i)))

@@ -144,3 +144,31 @@ def all_simple_cycles_exist(vertices, succ) -> bool:
         if dfs(start, start, {start}):
             return True
     return False
+
+
+def sorted_scan_arbiter(last_granted, candidates, eligible):
+    """Reference round-robin pick (the simulator's original arbiter).
+
+    Sorts the keys, binary-searches the first key after `last_granted`, scans
+    from there with wrap-around and returns the first eligible key, or None.
+    """
+    candidates = sorted(candidates)
+    n = len(candidates)
+    if n == 0:
+        return None
+    if last_granted is None:
+        start = 0
+    else:
+        lo, hi = 0, n
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if candidates[mid] <= last_granted:
+                lo = mid + 1
+            else:
+                hi = mid
+        start = lo
+    for k in range(n):
+        key = candidates[(start + k) % n]
+        if eligible(key):
+            return key
+    return None

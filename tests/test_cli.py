@@ -196,6 +196,9 @@ def test_sweep_honors_env_output_dir(tmp_path, monkeypatch, capsys):
     ("warmup_ms=0.05", "warmup_ms=x"),
     ("measure_ms=0.2", "measure_ms=x"),
     ("buffer=4", "buffer=4\ndata_vls=x"),
+    ("buffer=4", "buffer=4\ndata_vls=20"),
+    ("warmup_ms=0.05", "warmup_ms=-1"),
+    ("measure_ms=0.2", "measure_ms=0"),
     ("pattern=uniform", "pattern=hotspot\nhotspot_fraction=x"),
     ("pattern=uniform", "pattern=stencil3d\nstencil_dims=2,x,1"),
 ])
@@ -271,3 +274,15 @@ def test_plot_data_reads_json_documents_too(tmp_path, capsys):
     assert main(["plot-data", str(jsons[0])]) == 0
     from_json = capsys.readouterr().out
     assert from_csv == from_json
+
+
+@pytest.mark.parametrize("name, content", [
+    ("short.csv", "0.1,0.1,dla\n"),
+    ("norow.json", '{"runs": []}'),
+    ("broken.json", "{not json"),
+])
+def test_plot_data_malformed_input_exits_2(tmp_path, capsys, name, content):
+    path = tmp_path / name
+    path.write_text(content)
+    assert main(["plot-data", str(path)]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err

@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dflysim import (
     DeadlockDetected,
@@ -10,11 +12,13 @@ from dflysim import (
     InvalidParams,
     UniformTraffic,
     build_topology,
+    make_pattern,
     route_dla,
     synthesize,
 )
-from dflysim.simulator import SimConfig, arbitrate_output, run_sim, sweep
+from dflysim.simulator import PACKET_PS, SimConfig, arbitrate_output, run_sim, sweep
 from dflysim.traffic import HotspotTraffic, Stencil3dTraffic, TrafficPattern
+from oracles import sorted_scan_arbiter
 
 
 class SingleFlow(TrafficPattern):
@@ -84,10 +88,24 @@ def test_arbiter_wraps_after_last_granted():
     assert arbitrate_output((1, 0), cands, lambda k: True) == (2, 1)
 
 
+_KEYS = st.tuples(st.integers(0, 5), st.integers(0, 2))
+
+
+@given(cands=st.lists(_KEYS, unique=True, max_size=12), last=st.none() | _KEYS,
+       mask=st.sets(_KEYS))
+def test_arbiter_matches_sorted_scan_reference(cands, last, mask):
+    # candidates arrive as an unsorted dict, like an output's pending heads
+    pend = dict.fromkeys(cands)
+    assert arbitrate_output(last, pend, mask.__contains__) == \
+        sorted_scan_arbiter(last, pend, mask.__contains__)
+
+
 # -- pinned results -------------------------------------------------------------
 
-# result_hash of six saturation runs at 72 endnodes (load 1.0, seed 1,
-# 0.05 ms warm-up + 0.2 ms window). A change here is a model change.
+# result_hash at 72 endnodes, seed 1, 0.05 ms warm-up + 0.2 ms window. Keys
+# are (engine, voq) for saturation runs (uniform, 16-packet buffers, load 1.0)
+# and (engine, voq, pattern, buffer, load) for the low-load runs that pin the
+# injection and credit-stall paths. A change here is a model change.
 PINNED_RESULTS = {
     ("dla", True): "a0a703a990f8a3f6",
     ("dla", False): "1cc7cd9a529469db",
@@ -95,14 +113,21 @@ PINNED_RESULTS = {
     ("d3r", False): "0ff3cca646423aff",
     ("updn", True): "7cc1aa7c96e75be5",
     ("updn", False): "e3289040b02a63cb",
+    ("dla", False, "hotspot", 1, 0.1): "4d2e497de6fd675e",
+    ("dla", False, "hotspot", 1, 0.5): "cb56207c46d23c00",
+    ("d3r", True, "stencil3d", 2, 0.1): "9f619010a50187e4",
+    ("d3r", True, "stencil3d", 2, 0.5): "f48f08bccd1bc7ba",
+    ("updn", False, "uniform", 4, 0.1): "e945adb17be0a96a",
+    ("updn", False, "uniform", 4, 0.5): "0cabdc4d0327175b",
 }
 
 
-@pytest.mark.parametrize("engine, voq", sorted(PINNED_RESULTS))
-def test_saturation_results_are_pinned(engine, voq):
-    r = run_sim(_config(engine, voq=voq, offered_load=1.0, seed=1,
-                        warmup_s=0.05e-3, measure_s=0.2e-3))
-    assert r.result_hash == PINNED_RESULTS[(engine, voq)]
+@pytest.mark.parametrize("key", sorted(PINNED_RESULTS), ids=lambda k: "-".join(map(str, k)))
+def test_saturation_results_are_pinned(key):
+    engine, voq, pattern, depth, load = key + ("uniform", 16, 1.0)[len(key) - 2:]
+    r = run_sim(_config(engine, pattern=make_pattern(pattern), voq=voq, buffer_depth=depth,
+                        offered_load=load, seed=1, warmup_s=0.05e-3, measure_s=0.2e-3))
+    assert r.result_hash == PINNED_RESULTS[key]
 
 
 # -- invariants -----------------------------------------------------------------
@@ -145,7 +170,11 @@ def test_config_validation():
     with pytest.raises(InvalidParams):
         _config(data_vls=16)
     with pytest.raises(InvalidParams):
-        _config(mtu=4096, flit_size=100)
+        _config(measure_s=0)
+    with pytest.raises(InvalidParams):
+        _config(measure_s=1e-13)  # rounds to a 0 ps window
+    with pytest.raises(InvalidParams):
+        _config(warmup_s=-1)
     with pytest.raises(InvalidParams):
         _config(engine="dla", data_vls=1)  # dla needs 2 VLs
 
@@ -173,9 +202,9 @@ def test_accepted_never_fabricates_traffic():
         r = run_sim(cfg)
         assert r.delivered_packets <= r.injected_packets
         n = cfg.topology.num_endnodes
-        window_slots = n * cfg.measure_ps / cfg.packet_ps
+        window_slots = n * cfg.measure_ps / PACKET_PS
         sigma = (load * (1 - load) / window_slots) ** 0.5
-        quantum = cfg.packet_ps / cfg.measure_ps
+        quantum = PACKET_PS / cfg.measure_ps
         assert 0.0 <= r.accepted <= load + 4 * sigma + quantum
 
 
