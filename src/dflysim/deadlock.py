@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
+from .errors import RoutingLoop
 from .routing import RoutingConfig, route_walk
 from .topology import Topology
 
@@ -27,9 +29,6 @@ class ChannelDependencyGraph:
     @property
     def num_edges(self) -> int:
         return sum(len(s) for s in self.succ.values())
-
-    def successors(self, v: Vertex):
-        return self.succ.get(v, ())
 
 
 @dataclass(frozen=True)
@@ -56,33 +55,109 @@ class DeadlockReport:
 
 
 def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGraph:
-    """Enumerate all N(N-1) routes and collect direct dependencies.
+    """Collect the direct dependencies of all N(N-1) routes, per destination class.
 
-    Terminal channels are included as vertices; injection channels only source
-    edges and delivery channels only sink them, so they never close a cycle.
-    Propagates RoutingLoop (with the offending pair) from the route walker.
+    A class is the endnodes on one switch whose LFT columns agree on every
+    other switch and whose SL agrees for every source, so their routes form
+    one in-forest up to that switch. Each source walks toward the class, in
+    ascending order, until it reaches a (channel, VL, SL) state the class has
+    seen, and fans out to every member's terminal channel at that switch.
+
+    Equal to walking every pair with route_walk: the same vertices and edges,
+    each edge's witness the smallest (src, dst) pair in src-major order whose
+    route holds it, and, if some route never arrives, the error route_walk
+    raises for the smallest such pair (RoutingLoop with .pair for a loop or a
+    misdelivery). Injection channels only source edges and delivery channels
+    only sink them, so terminal channels never close a cycle.
     """
     n = topology.num_endnodes
-    vertices: set[Vertex] = set()
-    succ: dict[Vertex, set[Vertex]] = {}
-    witness: dict[tuple[Vertex, Vertex], tuple[int, int]] = {}
-    for src in range(n):
-        for dst in range(n):
-            if dst == src:
+    peer, lft, sl2vl = topology.peer, config.lft, config.sl2vl
+    sl_for = config.sl_policy.sl_for
+    # a vertex code is channel id << 4 | VL: VLs are 4-bit, as parse_fabric_dump checks
+    out_code: list[list[int | None]] = [[None] * len(row) for row in peer]
+    inj: list[Vertex] = [(0, 0)] * n
+    for ch in topology.channels:
+        kind, node, port = ch.src
+        if kind == "s":
+            out_code[node][port] = ch.cid << 4
+        else:
+            inj[node] = (ch.cid, 0)
+    start = [(topology.switch_of(e), topology.attach_port(e)) for e in range(n)]
+    vertex: dict[int, Vertex] = {cid << 4: (cid, vl) for cid, vl in inj}
+    witness: dict = {}  # (u, v) -> src * n + dst of the smallest pair seen so far
+
+    def walk(dsw, members, col, slcol):
+        """Walk every source toward one class; return its smallest failing pair."""
+        seen: dict[int, int] = {}  # in-vertex code << 4 | SL -> first source there
+        table = sl2vl[dsw]
+        fan = [(m, port, out_code[dsw][port]) for m, port in members]
+        m0 = members[0][0]
+        for src in range(n):
+            sl = slcol[src]
+            cur, ip = start[src]
+            ut = inj[src]
+            pair = src * n + m0
+            try:
+                while cur != dsw:
+                    op = col[cur]
+                    v = out_code[cur][op] | sl2vl[cur][op][ip][sl]
+                    vt = vertex.get(v) or vertex.setdefault(v, (v >> 4, v & 15))
+                    w = witness.get((ut, vt))
+                    if w is None or pair < w:
+                        witness[(ut, vt)] = pair
+                    nxt = peer[cur][op]
+                    if nxt[0] != "s":
+                        return pair  # delivered off the destination switch
+                    state = v << 4 | sl
+                    first = seen.get(state)
+                    if first is not None:
+                        if first == src:
+                            return pair  # back at a state of its own walk: a loop
+                        break
+                    seen[state] = src
+                    cur, ip, ut = nxt[1], nxt[2], vt
+                else:
+                    for m, port, code in fan:
+                        if m != src:
+                            pair = src * n + m
+                            v = code | table[port][ip][sl]
+                            vt = vertex.get(v) or vertex.setdefault(v, (v >> 4, v & 15))
+                            w = witness.get((ut, vt))
+                            if w is None or pair < w:
+                                witness[(ut, vt)] = pair
+            except (LookupError, TypeError):  # a port or SL2VL entry the fabric lacks
+                return pair
+        return None
+
+    bad = []  # the smallest failing pair of each class that has one
+    for dsw, row in enumerate(peer):
+        classes: dict[tuple, list[tuple[int, int]]] = {}
+        for port, end in enumerate(row):
+            if end is None or end[0] != "h":
                 continue
-            prev = None
-            for ch, vl in route_walk(topology, config, src, dst):
-                v = (ch.cid, vl)
-                vertices.add(v)
-                if prev is not None:
-                    bucket = succ.get(prev)
-                    if bucket is None:
-                        bucket = succ[prev] = set()
-                    if v not in bucket:
-                        bucket.add(v)
-                        witness[(prev, v)] = (src, dst)
-                prev = v
-    return ChannelDependencyGraph(vertices=vertices, succ=succ, witness=witness)
+            m = end[1]
+            if lft[dsw][m] != port:  # no route to m ever delivers
+                first_src = 1 if m == 0 else 0
+                bad.append(first_src * n + m)
+                continue
+            col = [r[m] for r in lft]
+            col[dsw] = -1  # each member has its own terminal port here
+            key = (tuple(col), tuple(map(sl_for, range(n), repeat(m))))
+            classes.setdefault(key, []).append((m, port))
+        for (col, slcol), members in classes.items():
+            failed = walk(dsw, sorted(members), col, slcol)
+            if failed is not None:
+                bad.append(failed)
+    if bad:
+        src, dst = divmod(min(bad), n)
+        route_walk(topology, config, src, dst)  # raises for every pair the walk gave up on
+        raise RoutingLoop((src, dst))
+
+    succ: dict[Vertex, set[Vertex]] = {}
+    for (u, v), pair in witness.items():
+        succ.setdefault(u, set()).add(v)
+        witness[(u, v)] = divmod(pair, n)
+    return ChannelDependencyGraph(vertices=set(vertex.values()), succ=succ, witness=witness)
 
 
 def _cyclic_sccs(cdg: ChannelDependencyGraph) -> list[list[Vertex]]:

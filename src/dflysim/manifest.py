@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .errors import InvalidParams, ManifestError
-from .routing import ENGINES, synthesize
+from .routing import ENGINES, synthesize, vls_needed
 from .simulator import SimConfig, check_run_params, sweep
 from .topology import DragonflyParams, build_topology
 from .traffic import make_pattern
@@ -173,6 +173,10 @@ def parse_manifest(text: str) -> Manifest:
             raise ManifestError(f"{where}: {exc}") from None
         if not seeds:
             raise ManifestError(f"{where}: needs at least one seed")
+        needed = vls_needed(engine, params)
+        if data_vls < needed:
+            raise ManifestError(f"{where}: engine {engine} needs {needed} VLs on this fabric, "
+                                f"got data_vls={data_vls}")
         pattern = rec["pattern"]
         make_pattern(pattern, **pattern_args)  # validates the name/args early
         rows.append(ManifestRow(

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import MalformedDump, NotADragonfly, UnsupportedParams, UnsupportedTopology
-from .topology import GLOBAL, LOCAL, Topology
+from .topology import GLOBAL, LOCAL, DragonflyParams, Topology, build_topology
 
 MAX_SLS = 16
 _INF = float("inf")
@@ -539,6 +539,17 @@ def synthesize(topology: Topology, engine: str,
     if engine != "dla":
         raise UnsupportedParams(f"engine {engine!r} has no VL shift to disable")
     return route_dla(topology, groups, vl_shift=False)
+
+
+def vls_needed(engine: str, params: DragonflyParams) -> int:
+    """VLs that `engine`'s tables use on a fabric of this shape, without building it.
+
+    Every engine's SL2VL table depends only on the port kinds a switch has:
+    terminal and global ports, plus local ports when a > 1. The smallest
+    fabric with the same kinds therefore needs the same number of VLs.
+    """
+    proxy = build_topology(DragonflyParams(min(params.a, 2), 1, 1))
+    return synthesize(proxy, engine).resources[1]
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,10 @@ class SimConfig:
     def __post_init__(self):
         check_run_params(self.buffer_depth, self.data_vls, self.warmup_s, self.measure_s,
                          [self.offered_load])
+        horizon = self.stall_horizon_s
+        if horizon is not None and not 1 <= horizon * _PS < float("inf"):
+            # a 0 ps horizon lets the watchdog re-arm at the same time forever
+            raise InvalidParams("stall horizon must be finite and at least 1 ps")
         _, vls_needed = self.routing.resources
         if vls_needed > self.data_vls:
             raise InvalidParams(

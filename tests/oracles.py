@@ -7,6 +7,8 @@ test, so agreement is meaningful.
 
 from collections import Counter, deque
 
+from dflysim.deadlock import ChannelDependencyGraph
+from dflysim.routing import route_walk
 from dflysim.topology import Topology
 
 
@@ -57,6 +59,33 @@ def brute_force_flow_counts(topo: Topology) -> Counter:
             if src != dst:
                 counts.update(canonical_route_channels(topo, src, dst))
     return counts
+
+
+def brute_force_cdg(topo: Topology, config) -> ChannelDependencyGraph:
+    """The CDG from walking all N(N-1) routes one by one (the original builder).
+
+    Pairs go in src-major order, so each edge's witness is the first pair whose
+    route holds it, and a RoutingLoop comes from the first pair that fails.
+    """
+    n = topo.num_endnodes
+    vertices = set()
+    succ = {}
+    witness = {}
+    for src in range(n):
+        for dst in range(n):
+            if dst == src:
+                continue
+            prev = None
+            for ch, vl in route_walk(topo, config, src, dst):
+                v = (ch.cid, vl)
+                vertices.add(v)
+                if prev is not None:
+                    bucket = succ.setdefault(prev, set())
+                    if v not in bucket:
+                        bucket.add(v)
+                        witness[(prev, v)] = (src, dst)
+                prev = v
+    return ChannelDependencyGraph(vertices=vertices, succ=succ, witness=witness)
 
 
 def switch_adjacency_simple(topo: Topology) -> dict[int, set[int]]:

@@ -197,6 +197,7 @@ def test_sweep_honors_env_output_dir(tmp_path, monkeypatch, capsys):
     ("measure_ms=0.2", "measure_ms=x"),
     ("buffer=4", "buffer=4\ndata_vls=x"),
     ("buffer=4", "buffer=4\ndata_vls=20"),
+    ("buffer=4", "buffer=4\ndata_vls=1"),  # row 1 runs dla, which needs 2 VLs
     ("warmup_ms=0.05", "warmup_ms=-1"),
     ("measure_ms=0.2", "measure_ms=0"),
     ("pattern=uniform", "pattern=hotspot\nhotspot_fraction=x"),
@@ -228,6 +229,13 @@ def test_manifest_parser_rejects_garbage():
         parse_manifest(TINY_MANIFEST.replace("voq=on", "voq=maybe"))
     with pytest.raises(ManifestError):
         parse_manifest(TINY_MANIFEST.replace("loads=0.2,0.6", "loads=0.6,0.2"))
+
+
+def test_manifest_takes_one_data_vl_where_the_engine_needs_one():
+    # with one switch per group, dla has no local hop to shift on
+    text = TINY_MANIFEST.replace("params=2,1,1", "params=1,2,1", 1)
+    manifest = parse_manifest(text.replace("buffer=4", "buffer=4\ndata_vls=1", 1))
+    assert manifest.rows[0].engine == "dla" and manifest.rows[0].data_vls == 1
 
 
 def test_shipped_desk_manifest_parses():

@@ -1,17 +1,22 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dflysim import (
     DragonflyParams,
+    RoutingLoop,
     build_cdg,
     build_topology,
     check_deadlock_free,
+    emit_fabric_dump,
+    parse_fabric_dump,
     route_dla,
     synthesize,
 )
 from dflysim.deadlock import ChannelDependencyGraph
 from dflysim.topology import TERMINAL
 
-from oracles import all_simple_cycles_exist
+from oracles import all_simple_cycles_exist, brute_force_cdg
 
 
 def _cdg(vertices, edges):
@@ -122,6 +127,15 @@ def test_minimal_engines_acyclic(params, engine):
 
 # -- soundness against exhaustive enumeration ----------------------------------
 
+VARIANTS = ["dla", "d3r", "updn", "dla-noshift"]
+
+
+def _config(topo, variant):
+    if variant == "dla-noshift":
+        return route_dla(topo, vl_shift=False)
+    return synthesize(topo, variant)
+
+
 def _tiny_params():
     # every fabric here has at most 12 switches
     out = []
@@ -135,14 +149,10 @@ def _tiny_params():
 
 
 @pytest.mark.parametrize("params", _tiny_params(), ids=lambda p: p.label())
-@pytest.mark.parametrize("variant", ["dla", "d3r", "updn", "dla-noshift"])
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_detector_agrees_with_exhaustive_cycle_search(params, variant):
     topo = build_topology(params)
-    if variant == "dla-noshift":
-        config = route_dla(topo, vl_shift=False)
-    else:
-        config = synthesize(topo, variant)
-    cdg = build_cdg(topo, config)
+    cdg = build_cdg(topo, _config(topo, variant))
     report = check_deadlock_free(cdg)
     assert report.acyclic == (not all_simple_cycles_exist(cdg.vertices, cdg.succ))
 
@@ -185,3 +195,119 @@ def test_terminal_channels_are_sources_and_sinks_only():
             assert (cid, vl) not in incoming          # injection: no predecessors
         if ch.kind == TERMINAL and ch.src[0] == "s":
             assert not cdg.succ.get((cid, vl))        # delivery: no successors
+
+
+# -- the destination-class builder against the per-pair oracle ------------------
+
+def _assert_matches_oracle(topo, config):
+    cdg, ref = build_cdg(topo, config), brute_force_cdg(topo, config)
+    assert cdg.vertices == ref.vertices
+    assert cdg.succ == ref.succ
+    assert cdg.witness == ref.witness
+    assert check_deadlock_free(cdg) == check_deadlock_free(ref)
+
+
+@st.composite
+def _fabrics(draw, max_endnodes=80):
+    a = draw(st.integers(1, 4))
+    h = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 3))
+    g = draw(st.integers(2, a * h + 1))
+    if a * p * g > max_endnodes:
+        g = max(2, max_endnodes // (a * p))
+    return DragonflyParams(a, h, p, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=_fabrics(), variant=st.sampled_from(VARIANTS))
+def test_build_cdg_matches_brute_force_oracle(params, variant):
+    topo = build_topology(params)
+    _assert_matches_oracle(topo, _config(topo, variant))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("params", [DragonflyParams(4, 2, 2), DragonflyParams(6, 3, 3)],
+                         ids=lambda p: str(p.num_endnodes))
+def test_build_cdg_matches_brute_force_oracle_at_study_sizes(params, variant):
+    topo = build_topology(params)
+    _assert_matches_oracle(topo, _config(topo, variant))
+
+
+def test_build_cdg_matches_oracle_on_parsed_dump_with_per_switch_tables():
+    topo = build_topology(DragonflyParams(4, 2, 2))
+    config = parse_fabric_dump(emit_fabric_dump(synthesize(topo, "d3r")))
+    # switch 5 swaps the two SLs; group 4 (switches 16-19) puts both on VL 0, so
+    # routes that differ only in SL share their edges there
+    config.sl2vl[5] = [[row[1::-1] + row[2:] for row in per_op] for per_op in config.sl2vl[5]]
+    for s in range(16, 20):
+        config.sl2vl[s] = [[(0,) * len(row) for row in per_op] for per_op in config.sl2vl[s]]
+    assert len({id(t) for t in config.sl2vl}) == topo.num_switches
+    _assert_matches_oracle(topo, config)
+
+
+def _corrupted(how):
+    """A 72-endnode dla config with one LFT column broken for destination 50."""
+    topo = build_topology(DragonflyParams(4, 2, 2))
+    config = route_dla(topo)
+    dst = 50
+    dsw = topo.switch_of(dst)  # switch 25, group 6
+    if how == "cycle":             # switches 4 and 5 (group 1) bounce packets for dst
+        config.lft[4][dst] = topo.local_port(4, 5)
+        config.lft[5][dst] = topo.local_port(5, 4)
+    elif how == "cycle-at-dst":    # the destination switch forwards instead of delivering
+        config.lft[dsw][dst] = topo.local_port(dsw, dsw + 1)
+    elif how == "misdelivery":     # switch 9 hands the packet to its own endnode
+        config.lft[9][dst] = 1
+    else:                          # the destination switch delivers to dst's neighbour
+        config.lft[dsw][dst] = topo.attach_port(dst + 1)
+    return topo, config
+
+
+@pytest.mark.parametrize("how", ["cycle", "cycle-at-dst", "misdelivery", "misdelivery-at-dst"])
+def test_routing_loop_names_the_same_pair_as_the_oracle(how):
+    topo, config = _corrupted(how)
+    with pytest.raises(RoutingLoop) as ref:
+        brute_force_cdg(topo, config)
+    with pytest.raises(RoutingLoop) as got:
+        build_cdg(topo, config)
+    assert got.value.pair == ref.value.pair
+    assert str(got.value) == str(ref.value)
+    assert got.value.pair[1] == 50
+
+
+def _outcome(builder, topo, config):
+    try:
+        cdg = builder(topo, config)
+    except Exception as exc:  # the builders must fail alike, whatever the error
+        return type(exc), getattr(exc, "pair", None), str(exc)
+    return cdg.vertices, cdg.succ, cdg.witness
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=_fabrics(max_endnodes=40), variant=st.sampled_from(VARIANTS), data=st.data())
+def test_corrupted_lft_fails_like_the_oracle(params, variant, data):
+    """Random LFT entries, including unwired and out-of-range ports."""
+    topo = build_topology(params)
+    config = _config(topo, variant)
+    for _ in range(data.draw(st.integers(1, 3))):
+        s = data.draw(st.integers(0, topo.num_switches - 1))
+        d = data.draw(st.integers(0, topo.num_endnodes - 1))
+        config.lft[s][d] = data.draw(st.integers(0, params.radix))
+    assert _outcome(build_cdg, topo, config) == _outcome(brute_force_cdg, topo, config)
+
+
+# -- scale ---------------------------------------------------------------------
+
+def _assert_engines_acyclic(params):
+    topo = build_topology(params)
+    for engine in ("dla", "d3r", "updn"):
+        assert check_deadlock_free(build_cdg(topo, synthesize(topo, engine))).acyclic, engine
+
+
+def test_engines_acyclic_at_1056_endnodes():
+    _assert_engines_acyclic(DragonflyParams(8, 4, 4))
+
+
+@pytest.mark.slow
+def test_engines_acyclic_at_2550_endnodes():
+    _assert_engines_acyclic(DragonflyParams(10, 5, 5))

@@ -14,7 +14,7 @@ from dflysim import (
     route_updn,
     synthesize,
 )
-from dflysim.routing import GroupAssignment, route_walk
+from dflysim.routing import ENGINES, GroupAssignment, route_walk, vls_needed
 from dflysim.topology import GLOBAL, LOCAL, TERMINAL
 
 from oracles import (
@@ -294,6 +294,18 @@ def test_synthesize_dispatch_and_unknown_engine():
 def test_synthesized_switches_share_one_sl2vl_table(engine):
     config = synthesize(build_topology(DragonflyParams(4, 2, 2)), engine)
     assert all(table is config.sl2vl[0] for table in config.sl2vl)
+
+
+@pytest.mark.parametrize("params", [
+    DragonflyParams(1, 1, 1, 2),
+    DragonflyParams(1, 3, 2),     # single-switch groups: no local ports
+    DragonflyParams(2, 1, 1),
+    DragonflyParams(4, 2, 2),
+], ids=lambda p: p.label())
+def test_vls_needed_matches_the_synthesized_tables(params):
+    topo = build_topology(params)
+    for engine in ENGINES:
+        assert vls_needed(engine, params) == synthesize(topo, engine).resources[1], engine
 
 
 def test_minimal_engines_require_fully_connected_grouping():

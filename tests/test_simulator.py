@@ -177,6 +177,10 @@ def test_config_validation():
         _config(warmup_s=-1)
     with pytest.raises(InvalidParams):
         _config(engine="dla", data_vls=1)  # dla needs 2 VLs
+    # a horizon under 1 ps would re-arm the watchdog at the same time forever
+    for horizon in (0, -1e-3, float("nan"), 1e-13, float("inf")):
+        with pytest.raises(InvalidParams):
+            _config(stall_horizon_s=horizon)
 
 
 # -- basic behavior -------------------------------------------------------------
