@@ -36,7 +36,7 @@ config = synthesize(topo, "dla")
 tc, lc, gc = 0, 2, 5  # representative ports: p=2 terminals, then locals, then globals
 for name_op, op in (("terminal", tc), ("local", lc), ("global", gc)):
     for name_ip, ip in (("terminal", tc), ("local", lc), ("global", gc)):
-        vl = config.vl_for(0, op, ip, 0)
+        vl = config.sl2vl[0][op][ip][0]
         print(f"  out={name_op:9s} in={name_ip:9s} -> VL {vl}")
 
 print()

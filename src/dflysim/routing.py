@@ -55,10 +55,6 @@ class GroupAssignment:
     def size(self) -> int:
         return len(self.groups[0])
 
-    def same_partition(self, other: "GroupAssignment") -> bool:
-        """True when both assignments induce the same partition (labels may differ)."""
-        return set(self.groups) == set(other.groups)
-
 
 def _as_switch_graph(graph) -> dict[int, frozenset[int]]:
     if isinstance(graph, Topology):
@@ -254,9 +250,6 @@ class RoutingConfig:
     @property
     def radix(self) -> int:
         return len(self.sl2vl[0])
-
-    def vl_for(self, switch: int, out_port: int, in_port: int, sl: int) -> int:
-        return self.sl2vl[switch][out_port][in_port][sl]
 
     @property
     def resources(self) -> tuple[int, int]:
@@ -585,7 +578,8 @@ def parse_fabric_dump(text: str) -> RoutingConfig:
     """Parse emit_fabric_dump output back into a RoutingConfig.
 
     emit(parse(emit(config))) is byte-identical to emit(config). Raises
-    MalformedDump on structural or range errors (VL indices must be < 16).
+    MalformedDump on structural or range errors (VL indices must be < 16, LFT
+    ports below the radix).
     """
     header: dict[str, str] = {}
     lfts: list[list[int]] = []
@@ -655,6 +649,9 @@ def parse_fabric_dump(text: str) -> RoutingConfig:
             raise MalformedDump(f"switch {s}: LFT is not total over 0..{num_endnodes - 1}")
         if sorted(svl_map) != [(op, ip) for op in range(radix) for ip in range(radix)]:
             raise MalformedDump(f"switch {s}: SL2VL table is not total over the radix")
+        for dst, port in lft_map.items():
+            if port >= radix:
+                raise MalformedDump(f"switch {s}: lid {dst} port {port} is beyond radix {radix}")
         lft_lists.append([lft_map[d] for d in range(num_endnodes)])
         sl2vl_lists.append([[svl_map[(op, ip)] for ip in range(radix)] for op in range(radix)])
 

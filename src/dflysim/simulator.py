@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import json
 import random
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, replace
 
 from .errors import DeadlockDetected, InvalidParams, InvariantViolation
@@ -174,275 +175,255 @@ class SimResult:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-class _Switch:
-    __slots__ = (
-        "fifos", "occ", "in_busy", "out_busy", "credits", "pending", "rr_last",
-    )
+def arbitrate_output(last, pend, t, in_busy, credits, vrow):
+    """Round-robin pick over one output's pending heads, with per-output memory.
 
-
-def arbitrate_output(last_granted, candidates, eligible):
-    """Round-robin pick over (input-port, vl) keys with per-output memory.
-
-    One pass over `candidates` in any order. Returns the smallest key after
-    `last_granted` for which eligible(key) is true (credits available, input
-    idle), else the smallest eligible key (the scan wraps), else None: never
-    a creditless pick while an eligible candidate exists (work conserving).
+    `pend` maps (input port, VL) keys to head packets, in any order; `last` is
+    the key granted last, or (-1, -1) before the first grant. A key is
+    eligible when its input is idle at `t` (in_busy[ip] <= t) and the output
+    VL that vrow maps it to has a credit. One pass returns the smallest
+    eligible key after `last`, else the smallest eligible key (the scan
+    wraps), else None: never a creditless pick while an eligible candidate
+    exists (work conserving).
     """
     after = wrapped = None
-    for key in candidates:
-        if last_granted is not None and key > last_granted:
-            if (after is None or key < after) and eligible(key):
+    for key, pkt in pend.items():
+        ip = key[0]
+        if in_busy[ip] > t or credits[vrow[ip][pkt[2]]] <= 0:
+            continue
+        if key > last:
+            if after is None or key < after:
                 after = key
-        elif after is None and (wrapped is None or key < wrapped) and eligible(key):
+        elif after is None and (wrapped is None or key < wrapped):
             wrapped = key
     return wrapped if after is None else after
 
 
 class _FabricSim:
-    """Single-run engine. Deterministic: heap ties break on event sequence."""
+    """Single-run engine. Deterministic: heap ties break on event sequence.
+
+    Switch state is indexed [switch][port]: fifos[s][ip][vl] maps a FIFO key
+    (the output port under VOQ, 0 without) to a list of packets; pending[s][op]
+    maps (ip, vl) to the head packet that waits for output op.
+    """
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         topo = cfg.topology
-        self.topo = topo
-        self.peer = topo.peer
-        self.lft = cfg.routing.lft
-        self.vlmap = cfg.routing.sl2vl
-        self.sl_for = cfg.routing.sl_policy.sl_for
-        self.radix = topo.params.radix
-        self.kind = [topo.port_kind(pt) for pt in range(self.radix)]
-        self.check_dla_vl = cfg.routing.engine == "dla" and not cfg.routing.vl_shift_disabled
-
-        self.warm_ps = cfg.warmup_ps
-        self.end_ps = cfg.warmup_ps + cfg.measure_ps
-
-        self.depth = cfg.buffer_depth
-        self.voq = cfg.voq
+        radix = topo.params.radix
         nvl = cfg.data_vls
-        self.nvl = nvl
-
+        depth = cfg.buffer_depth
         n = topo.num_endnodes
         self.n = n
-        self.pattern = cfg.pattern
-        self.src_load = [cfg.pattern.source_load(e, cfg.offered_load) for e in range(n)]
-        self.rng = random.Random(cfg.seed)
 
-        self.switches = []
-        for s in range(topo.num_switches):
-            sw = _Switch()
-            sw.fifos = [[{} for _ in range(nvl)] for _ in range(self.radix)]
-            sw.occ = [[0] * nvl for _ in range(self.radix)]
-            sw.in_busy = [0] * self.radix
-            sw.out_busy = [0] * self.radix
-            sw.credits = [[self.depth] * nvl for _ in range(self.radix)]
-            sw.pending = [dict() for _ in range(self.radix)]
-            sw.rr_last = [None] * self.radix
-            self.switches.append(sw)
+        ns = topo.num_switches
+        self.fifos = [[[defaultdict(list) for _ in range(nvl)] for _ in range(radix)]
+                      for _ in range(ns)]
+        self.occ = [[[0] * nvl for _ in range(radix)] for _ in range(ns)]
+        self.in_busy = [[0] * radix for _ in range(ns)]
+        self.out_busy = [[0] * radix for _ in range(ns)]
+        self.credits = [[[depth] * nvl for _ in range(radix)] for _ in range(ns)]
+        self.pending = [[{} for _ in range(radix)] for _ in range(ns)]
+        self.rr_last = [[(-1, -1)] * radix for _ in range(ns)]
 
         # HCA (endnode) state
         self.hca_q = [deque() for _ in range(n)]
         self.hca_busy = [0] * n
-        self.hca_credit = [self.depth] * n
+        self.hca_credit = [depth] * n
 
-        # counters
+        # counters, written back by run()
         self.injected = 0
         self.delivered = 0
         self.in_fabric = 0
         self.measured_by_dst = [0] * n
-        self.last_delivery = 0
-        self.max_warm_gap = 0
-        self.watch_count = -1
-
-        self.heap: list = []
-        self.seq = 0
-
-    def push(self, t, code, a=0, b=0, c=-1, d=None):
-        self.seq += 1
-        heapq.heappush(self.heap, (t, self.seq, code, a, b, c, d))
-
-    # -- HCA side ---------------------------------------------------------
-
-    def hca_try(self, e, t):
-        q = self.hca_q[e]
-        if not q or self.hca_busy[e] > t or self.hca_credit[e] <= 0:
-            return
-        pkt = q.popleft()
-        self.hca_credit[e] -= 1
-        self.hca_busy[e] = t + PACKET_PS
-        self.in_fabric += 1
-        sw = self.topo.switch_of(e)
-        ip = self.topo.attach_port(e)
-        self.push(t + _LINK_PS + _PIPE_PS, _E_ENQ, sw, ip, 0, pkt)
-        self.push(t + PACKET_PS, _E_HCA, e)
-
-    # -- switch side ------------------------------------------------------
-
-    def enqueue(self, s, ip, vl, pkt, t):
-        sw = self.switches[s]
-        occ = sw.occ[ip]
-        occ[vl] += 1
-        if occ[vl] > self.depth:
-            raise InvariantViolation("VL buffer overflow: credit protocol broken")
-        op = self.lft[s][pkt[1]]
-        lane = sw.fifos[ip][vl]
-        key = op if self.voq else 0
-        q = lane.get(key)
-        if q is None:
-            q = lane[key] = []
-        q.append(pkt)
-        if len(q) == 1:
-            sw.pending[op][(ip, vl)] = pkt
-            self.arb(s, op, t)
-
-    def arb(self, s, op, t):
-        sw = self.switches[s]
-        if sw.out_busy[op] > t:
-            return
-        pend = sw.pending[op]
-        if not pend:
-            return
-        vrow = self.vlmap[s][op]
-        credits = sw.credits[op]
-        in_busy = sw.in_busy
-
-        def eligible(key):
-            ip, _vl = key
-            if in_busy[ip] > t:
-                return False
-            pkt = pend[key]
-            return credits[vrow[ip][pkt[2]]] > 0
-
-        key = arbitrate_output(sw.rr_last[op], pend, eligible)
-        if key is not None:
-            ip, vl = key
-            pkt = pend[key]
-            self.grant(s, op, ip, vl, vrow[ip][pkt[2]], pkt, t)
-
-    def grant(self, s, op, ip, vl, ovl, pkt, t):
-        sw = self.switches[s]
-        sw.credits[op][ovl] -= 1
-        t_free = t + PACKET_PS
-        sw.out_busy[op] = t_free
-        sw.in_busy[ip] = t_free
-        sw.rr_last[op] = (ip, vl)
-        del sw.pending[op][(ip, vl)]
-
-        # under VOQ the next head waits for the same output (op2 == op)
-        q = sw.fifos[ip][vl][op if self.voq else 0]
-        q.pop(0)
-        if q:
-            nxt = q[0]
-            op2 = self.lft[s][nxt[1]]
-            sw.pending[op2][(ip, vl)] = nxt
-            if op2 != op:
-                self.push(t, _E_ARB, s, op2)
-        sw.occ[ip][vl] -= 1
-
-        if self.check_dla_vl and ovl == 1 and (self.kind[op] != LOCAL or pkt[3] != GLOBAL):
-            raise InvariantViolation("VL 1 is only legal on a local channel right after a global hop")
-
-        # return the freed slot upstream once our tail has left
-        peer = self.peer[s]
-        up = peer[ip]
-        if up[0] == "h":
-            self.push(t_free + _CREDIT_PS, _E_HCA, up[1], 1)
-        else:
-            self.push(t_free + _CREDIT_PS, _E_ARB, up[1], up[2], vl)
-
-        self.push(t_free, _E_RELEASE, s, op)
-
-        pkt[3] = self.kind[op]
-        down = peer[op]
-        if down[0] == "h":
-            self.push(t + _LINK_PS + PACKET_PS, _E_DELIVER, down[1])
-            self.push(t + _LINK_PS + PACKET_PS + _CREDIT_PS, _E_ARB, s, op, ovl)
-        else:
-            self.push(t + _LINK_PS + _PIPE_PS, _E_ENQ, down[1], down[2], ovl, pkt)
 
     # -- main loop --------------------------------------------------------
 
     def run(self):
+        """Process events until the measurement window ends.
+
+        Every table the hot path reads is bound to a local, and `arb` runs
+        only for an output that is idle and has a pending head: any other
+        call could not grant.
+        """
         cfg = self.cfg
+        topo = cfg.topology
         n = self.n
-        rng = self.rng
-        choose = self.pattern.choose
-        sl_for = self.sl_for
-        end = self.end_ps
+        p = topo.params.p
+        radix = topo.params.radix
+        rng = random.Random(cfg.seed)
+        choose = cfg.pattern.choose
+        sl_for = cfg.routing.sl_policy.sl_for
+        src_load = [cfg.pattern.source_load(e, cfg.offered_load) for e in range(n)]
+        lft = cfg.routing.lft
+        sl2vl = cfg.routing.sl2vl
+        peer = topo.peer
+        kind = [topo.port_kind(pt) for pt in range(radix)]
+        check_dla_vl = cfg.routing.engine == "dla" and not cfg.routing.vl_shift_disabled
+        voq = cfg.voq
+        depth = cfg.buffer_depth
+        warm = cfg.warmup_ps
+        end = warm + cfg.measure_ps
+        fifos, occ, credits = self.fifos, self.occ, self.credits
+        in_busy, out_busy, pending, rr_last = self.in_busy, self.out_busy, self.pending, self.rr_last
+        hca_q, hca_busy, hca_credit = self.hca_q, self.hca_busy, self.hca_credit
+        measured_by_dst = self.measured_by_dst
+        injected = delivered = in_fabric = 0
+        last_delivery = max_warm_gap = 0
+        watch_count = -1
+
+        heap = []
+        push = heapq.heappush
+        seq = itertools.count().__next__
+
+        def hca_try(e, t):
+            nonlocal in_fabric
+            q = hca_q[e]
+            if not q or hca_busy[e] > t or hca_credit[e] <= 0:
+                return
+            hca_credit[e] -= 1
+            hca_busy[e] = t + PACKET_PS
+            in_fabric += 1
+            push(heap, (t + _LINK_PS + _PIPE_PS, seq(), _E_ENQ, e // p, e % p, 0, q.popleft()))
+            push(heap, (t + PACKET_PS, seq(), _E_HCA, e, 0, -1, None))
+
+        def arb(s, op, pend, t):
+            """Arbitrate idle output op of switch s over its non-empty `pend`."""
+            vrow = sl2vl[s][op]
+            cred = credits[s][op]
+            busy = in_busy[s]
+            key = arbitrate_output(rr_last[s][op], pend, t, busy, cred, vrow)
+            if key is None:
+                return
+            ip, vl = key
+            pkt = pend.pop(key)
+            ovl = vrow[ip][pkt[2]]
+            cred[ovl] -= 1
+            t_free = t + PACKET_PS
+            out_busy[s][op] = t_free
+            busy[ip] = t_free
+            rr_last[s][op] = key
+
+            # under VOQ the next head waits for the same output (op2 == op)
+            q = fifos[s][ip][vl][op if voq else 0]
+            del q[0]
+            if q:
+                nxt = q[0]
+                op2 = lft[s][nxt[1]]
+                pending[s][op2][key] = nxt
+                if op2 != op:
+                    push(heap, (t, seq(), _E_ARB, s, op2, -1, None))
+            occ[s][ip][vl] -= 1
+
+            if check_dla_vl and ovl == 1 and (kind[op] != LOCAL or pkt[3] != GLOBAL):
+                raise InvariantViolation("VL 1 is only legal on a local channel right after a global hop")
+
+            # return the freed slot upstream once our tail has left
+            ports = peer[s]
+            up = ports[ip]
+            if up[0] == "h":
+                push(heap, (t_free + _CREDIT_PS, seq(), _E_HCA, up[1], 1, -1, None))
+            else:
+                push(heap, (t_free + _CREDIT_PS, seq(), _E_ARB, up[1], up[2], vl, None))
+
+            push(heap, (t_free, seq(), _E_RELEASE, s, op, -1, None))
+
+            pkt[3] = kind[op]
+            down = ports[op]
+            if down[0] == "h":
+                push(heap, (t + _LINK_PS + PACKET_PS, seq(), _E_DELIVER, down[1], 0, -1, None))
+                push(heap, (t + _LINK_PS + PACKET_PS + _CREDIT_PS, seq(), _E_ARB, s, op, ovl, None))
+            else:
+                push(heap, (t + _LINK_PS + _PIPE_PS, seq(), _E_ENQ, down[1], down[2], ovl, pkt))
 
         horizon_ps = None
         if cfg.stall_horizon_s is not None:
             horizon_ps = int(round(cfg.stall_horizon_s * _PS))
-        self.push(0, _E_SLOT)
-        self.push(self.warm_ps, _E_WATCHDOG)
+        push(heap, (0, seq(), _E_SLOT, 0, 0, -1, None))
+        push(heap, (warm, seq(), _E_WATCHDOG, 0, 0, -1, None))
 
-        heap = self.heap
         pop = heapq.heappop
         while heap:
             t, _seq, code, a, b, c, d = pop(heap)
             if t >= end:
                 break
             if code == _E_ENQ:
-                self.enqueue(a, b, c, d, t)
+                # packet d arrives at switch a, input b, VL c
+                row = occ[a][b]
+                row[c] += 1
+                if row[c] > depth:
+                    raise InvariantViolation("VL buffer overflow: credit protocol broken")
+                op = lft[a][d[1]]
+                q = fifos[a][b][c][op if voq else 0]
+                q.append(d)
+                if len(q) == 1:
+                    pend = pending[a][op]
+                    pend[(b, c)] = d
+                    if out_busy[a][op] <= t:
+                        arb(a, op, pend, t)
             elif code == _E_ARB:
                 if c >= 0:
-                    credits = self.switches[a].credits[b]
-                    credits[c] += 1
-                    if credits[c] > self.depth:
+                    row = credits[a][b]
+                    row[c] += 1
+                    if row[c] > depth:
                         raise InvariantViolation("credit over-return")
-                self.arb(a, b, t)
+                pend = pending[a][b]
+                if pend and out_busy[a][b] <= t:
+                    arb(a, b, pend, t)
             elif code == _E_RELEASE:
-                # output b first, then every output the freed input may feed
-                self.arb(a, b, t)
-                sw = self.switches[a]
-                busy = sw.out_busy
-                for op in range(self.radix):
-                    if sw.pending[op] and busy[op] <= t:
-                        self.arb(a, op, t)
+                # output b first, then every other output the freed input may
+                # feed; a second try of b, with nothing freed, cannot grant
+                pend_s = pending[a]
+                busy = out_busy[a]
+                if pend_s[b] and busy[b] <= t:
+                    arb(a, b, pend_s[b], t)
+                for op in range(radix):
+                    pend = pend_s[op]
+                    if pend and op != b and busy[op] <= t:
+                        arb(a, op, pend, t)
             elif code == _E_DELIVER:
-                self.delivered += 1
-                self.in_fabric -= 1
-                if t >= self.warm_ps:
-                    self.measured_by_dst[a] += 1
-                else:
-                    gap = t - self.last_delivery
-                    if gap > self.max_warm_gap:
-                        self.max_warm_gap = gap
-                self.last_delivery = t
+                delivered += 1
+                in_fabric -= 1
+                if t >= warm:
+                    measured_by_dst[a] += 1
+                elif t - last_delivery > max_warm_gap:
+                    max_warm_gap = t - last_delivery
+                last_delivery = t
             elif code == _E_HCA:
-                self.hca_credit[a] += b
-                if self.hca_credit[a] > self.depth:
+                hca_credit[a] += b
+                if hca_credit[a] > depth:
                     raise InvariantViolation("HCA credit over-return")
-                self.hca_try(a, t)
+                hca_try(a, t)
             elif code == _E_SLOT:
-                src_load = self.src_load
                 for e in range(n):
                     ld = src_load[e]
                     if ld > 0.0 and rng.random() < ld:
                         dst = choose(e, rng)
-                        self.injected += 1
-                        self.hca_q[e].append([e, dst, sl_for(e, dst), "tc"])
-                        self.hca_try(e, t)
+                        injected += 1
+                        hca_q[e].append([e, dst, sl_for(e, dst), "tc"])
+                        hca_try(e, t)
                 if t + PACKET_PS < end:
-                    self.push(t + PACKET_PS, _E_SLOT)
+                    push(heap, (t + PACKET_PS, seq(), _E_SLOT, 0, 0, -1, None))
             else:  # _E_WATCHDOG
                 if horizon_ps is None:
-                    horizon_ps = max(10 * self.max_warm_gap, _PS // 1000)  # >= 1 ms
-                if self.watch_count == self.delivered and self.injected > self.delivered:
+                    horizon_ps = max(10 * max_warm_gap, _PS // 1000)  # >= 1 ms
+                if watch_count == delivered and injected > delivered:
                     raise DeadlockDetected(
                         f"no delivery for {horizon_ps / _PS * 1e3:.3f} ms of simulated time "
-                        f"with {self.injected - self.delivered} packets outstanding"
+                        f"with {injected - delivered} packets outstanding"
                     )
-                self.watch_count = self.delivered
-                self.push(t + horizon_ps, _E_WATCHDOG)
+                watch_count = delivered
+                push(heap, (t + horizon_ps, seq(), _E_WATCHDOG, 0, 0, -1, None))
 
+        self.injected, self.delivered, self.in_fabric = injected, delivered, in_fabric
         # conservation audit: everything injected is delivered, queued, or in flight
-        queued = sum(map(len, self.hca_q))
-        if self.injected != self.delivered + queued + self.in_fabric:
+        queued = sum(map(len, hca_q))
+        if injected != delivered + queued + in_fabric:
             raise InvariantViolation("flit conservation violated")
 
     def result(self) -> SimResult:
         cfg = self.cfg
-        counted = self.pattern.counted_endnodes()
+        counted = cfg.pattern.counted_endnodes()
         measured = sum(self.measured_by_dst[e] for e in counted)
         norm = PACKET_PS / cfg.measure_ps
         accepted = measured * norm / len(counted) if counted else 0.0

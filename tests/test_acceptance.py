@@ -5,7 +5,11 @@ desk-scale measurement campaign (72 endnodes, uniform traffic, 16 pkt/VL,
 fixed seed ensemble) keeping the whole module within its runtime budget.
 """
 
+import concurrent.futures
+import functools
 import json
+import multiprocessing
+import os
 import time
 
 import pytest
@@ -122,36 +126,47 @@ def test_criterion_3_resource_accounting():
 # 4-6. desk-scale measurement campaign (shared runs)
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _desk_fabric(engine):
+    topo = build_topology(DragonflyParams(4, 2, 2))
+    return topo, synthesize(topo, engine)
+
+
+def _saturation(run):
+    """Accepted throughput of one (engine, voq, buffer depth, seed) run."""
+    engine, voq, depth, seed = run
+    topo, routing = _desk_fabric(engine)
+    return run_sim(SimConfig(topology=topo, routing=routing, pattern=UniformTraffic(),
+                             offered_load=1.0, voq=voq, buffer_depth=depth,
+                             seed=seed)).accepted
+
+
 @pytest.fixture(scope="module")
 def campaign():
     """Saturation throughput at 72 endnodes, uniform traffic, 16 pkt/VL,
     averaged over a fixed seed ensemble, for every engine with and without
-    VOQ; plus the DLA/VOQ buffer-depth series. Deterministic."""
-    topo = build_topology(DragonflyParams(4, 2, 2))
-    started = time.perf_counter()
-    sat = {}
-    for engine in ("dla", "d3r", "updn"):
-        routing = synthesize(topo, engine)
-        for voq in (False, True):
-            runs = [
-                run_sim(SimConfig(topology=topo, routing=routing,
-                                  pattern=UniformTraffic(), offered_load=1.0,
-                                  voq=voq, buffer_depth=16, seed=seed)).accepted
-                for seed in SEEDS
-            ]
-            sat[(engine, voq)] = sum(runs) / len(runs)
-    factors_elapsed = time.perf_counter() - started
+    VOQ; plus the DLA/VOQ buffer-depth series. Deterministic: the runs are
+    independent and seeded, and map() returns them in submission order, so
+    every average sums the same values in the same order on any pool size."""
+    cells = [(engine, voq) for engine in ("dla", "d3r", "updn") for voq in (False, True)]
+    depths = (1, 2, 4, 8, 16, 32)
+    spawn = multiprocessing.get_context("spawn")  # workers import this module afresh
+    with concurrent.futures.ProcessPoolExecutor(os.cpu_count(), mp_context=spawn) as pool:
+        started = time.perf_counter()
+        runs = list(pool.map(_saturation, [(engine, voq, 16, seed)
+                                           for engine, voq in cells for seed in SEEDS]))
+        factors_elapsed = time.perf_counter() - started
+        sat = {}
+        for i, cell in enumerate(cells):
+            cell_runs = runs[i * len(SEEDS):(i + 1) * len(SEEDS)]
+            sat[cell] = sum(cell_runs) / len(cell_runs)
 
-    depth_series = {}
-    routing = synthesize(topo, "dla")
-    for depth in (1, 2, 4, 8, 16, 32):
-        runs = [
-            run_sim(SimConfig(topology=topo, routing=routing,
-                              pattern=UniformTraffic(), offered_load=1.0,
-                              voq=True, buffer_depth=depth, seed=seed)).accepted
-            for seed in SEEDS[:2]
-        ]
-        depth_series[depth] = sum(runs) / len(runs)
+        runs = list(pool.map(_saturation, [("dla", True, depth, seed)
+                                           for depth in depths for seed in SEEDS[:2]]))
+        depth_series = {}
+        for i, depth in enumerate(depths):
+            depth_runs = runs[i * 2:(i + 1) * 2]
+            depth_series[depth] = sum(depth_runs) / len(depth_runs)
     return {"sat": sat, "depths": depth_series, "factors_elapsed": factors_elapsed}
 
 

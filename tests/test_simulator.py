@@ -59,45 +59,75 @@ def _config(engine="dla", pattern=None, **kw):
 
 # -- arbiter ------------------------------------------------------------------
 
+NO_GRANT = (-1, -1)  # rr_last before an output's first grant
+_IDLE = [0] * 6      # in_busy row: every input idle at t = 0
+_SL_TO_VL = [(0, 1)] * 6  # vrow: SL 0 -> VL 0, SL 1 -> VL 1 on every input
+
+
+def _heads(*keys, sl=0):
+    """Pending heads keyed (input, VL), as the simulator keeps them per output."""
+    return {key: [0, 0, sl, "tc"] for key in keys}
+
+
 def test_arbiter_single_candidate_chosen():
-    assert arbitrate_output(None, [(0, 0)], lambda k: True) == (0, 0)
+    assert arbitrate_output(NO_GRANT, _heads((0, 0)), 0, _IDLE, [1, 1], _SL_TO_VL) == (0, 0)
 
 
 def test_arbiter_strict_alternation():
-    cands = [(0, 0), (1, 0)]
-    last = None
+    pend = _heads((0, 0), (1, 0))
+    last = NO_GRANT
     picks = []
     for _ in range(6):
-        last = arbitrate_output(last, cands, lambda k: True)
+        last = arbitrate_output(last, pend, 0, _IDLE, [1, 1], _SL_TO_VL)
         picks.append(last)
     assert picks == [(0, 0), (1, 0)] * 3
 
 
 def test_arbiter_skips_creditless_candidates():
-    cands = [(0, 0), (1, 0)]
-    # candidate (0,0) never has credits: it must never be chosen while (1,0) is eligible
-    for last in (None, (0, 0), (1, 0)):
-        assert arbitrate_output(last, cands, lambda k: k != (0, 0)) == (1, 0)
-    assert arbitrate_output(None, cands, lambda k: False) is None
-    assert arbitrate_output(None, [], lambda k: True) is None
+    pend = _heads((0, 0), (1, 0))
+    pend[(0, 0)][2] = 1  # (0, 0) waits for VL 1, which has no credit
+    for last in (NO_GRANT, (0, 0), (1, 0)):
+        assert arbitrate_output(last, pend, 0, _IDLE, [1, 0], _SL_TO_VL) == (1, 0)
+    busy = [0, 5] + [0] * 4  # input 1 stays busy until t = 5
+    pend = _heads((0, 0), (1, 0))
+    for last in (NO_GRANT, (0, 0), (1, 0)):
+        assert arbitrate_output(last, pend, 4, busy, [1, 1], _SL_TO_VL) == (0, 0)
+    assert arbitrate_output(NO_GRANT, pend, 5, busy, [1, 1], _SL_TO_VL) == (0, 0)
+    assert arbitrate_output((0, 0), pend, 5, busy, [1, 1], _SL_TO_VL) == (1, 0)
+    assert arbitrate_output(NO_GRANT, pend, 0, _IDLE, [0, 1], _SL_TO_VL) is None
+    assert arbitrate_output(NO_GRANT, {}, 0, _IDLE, [1, 1], _SL_TO_VL) is None
 
 
 def test_arbiter_wraps_after_last_granted():
-    cands = [(0, 0), (1, 0), (2, 1)]
-    assert arbitrate_output((2, 1), cands, lambda k: True) == (0, 0)
-    assert arbitrate_output((1, 0), cands, lambda k: True) == (2, 1)
+    pend = _heads((0, 0), (1, 0), (2, 1))
+    assert arbitrate_output((2, 1), pend, 0, _IDLE, [1, 1], _SL_TO_VL) == (0, 0)
+    assert arbitrate_output((1, 0), pend, 0, _IDLE, [1, 1], _SL_TO_VL) == (2, 1)
+    # the wrapped pick is the smallest key, whatever the dict order
+    pend = _heads((2, 1), (1, 0), (0, 0))
+    assert arbitrate_output((2, 1), pend, 0, _IDLE, [1, 1], _SL_TO_VL) == (0, 0)
 
 
 _KEYS = st.tuples(st.integers(0, 5), st.integers(0, 2))
 
 
-@given(cands=st.lists(_KEYS, unique=True, max_size=12), last=st.none() | _KEYS,
-       mask=st.sets(_KEYS))
-def test_arbiter_matches_sorted_scan_reference(cands, last, mask):
-    # candidates arrive as an unsorted dict, like an output's pending heads
-    pend = dict.fromkeys(cands)
-    assert arbitrate_output(last, pend, mask.__contains__) == \
-        sorted_scan_arbiter(last, pend, mask.__contains__)
+@given(heads=st.lists(st.tuples(_KEYS, st.integers(0, 1)), unique_by=lambda h: h[0],
+                      max_size=12),
+       last=st.sampled_from([NO_GRANT, (5, 2)]) | _KEYS,  # (5, 2): every key wraps
+       t=st.integers(0, 3),
+       in_busy=st.lists(st.integers(0, 4), min_size=6, max_size=6),
+       credits=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+       vrow=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=6, max_size=6))
+def test_arbiter_matches_sorted_scan_reference(heads, last, t, in_busy, credits, vrow):
+    # heads arrive as an unsorted dict, like an output's pending heads; each
+    # packet's SL picks its output VL through its input's vrow entry
+    pend = {key: [0, 0, sl, "tc"] for key, sl in heads}
+
+    def eligible(key):
+        ip = key[0]
+        return in_busy[ip] <= t and credits[vrow[ip][pend[key][2]]] > 0
+
+    expected = sorted_scan_arbiter(None if last == NO_GRANT else last, pend, eligible)
+    assert arbitrate_output(last, pend, t, in_busy, credits, vrow) == expected
 
 
 # -- pinned results -------------------------------------------------------------
@@ -132,32 +162,55 @@ def test_saturation_results_are_pinned(key):
 
 # -- invariants -----------------------------------------------------------------
 
-_BROKEN_CREDITS = """
+_BROKEN_PROTOCOL = """
 import sys
 from dflysim import DragonflyParams, InvariantViolation, UniformTraffic, build_topology, synthesize
 from dflysim.simulator import SimConfig, _FabricSim
 
 topo = build_topology(DragonflyParams(2, 1, 1))
-sim = _FabricSim(SimConfig(
-    topology=topo, routing=synthesize(topo, "dla"), pattern=UniformTraffic().bind(6, 1),
-    buffer_depth=2, warmup_s=0.02e-3, measure_s=0.1e-3))
-for sw in sim.switches:  # one credit more than the downstream buffer holds
-    for row in sw.credits:
+routing = synthesize(topo, "dla")
+
+
+def fresh(load=1.0):
+    return _FabricSim(SimConfig(
+        topology=topo, routing=routing, pattern=UniformTraffic().bind(6, 1), offered_load=load,
+        buffer_depth=2, warmup_s=0.02e-3, measure_s=0.1e-3))
+
+
+def broken(name, sim):
+    try:
+        sim.run()
+    except InvariantViolation as exc:
+        print(name, "optimize", sys.flags.optimize, "InvariantViolation:", exc)
+
+
+s = fresh()  # every VL buffer starts full, so the first arrival overflows
+for per_switch in s.occ:
+    for row in per_switch:
+        row[:] = [2] * len(row)
+broken("occupancy", s)
+s = fresh()  # one credit more than each downstream switch buffer holds
+for per_switch in s.credits:
+    for row in per_switch:
         row[:] = [c + 1 for c in row]
-try:
-    sim.run()
-except InvariantViolation as exc:
-    print("optimize", sys.flags.optimize, "InvariantViolation:", exc)
+broken("switch-credits", s)
+s = fresh(0.1)  # one HCA credit too many; sparse sends let it come back before an overflow
+s.hca_credit[:] = [c + 1 for c in s.hca_credit]
+broken("hca-credits", s)
 """
 
 
 def test_broken_credit_protocol_raises_typed_error_under_python_O():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_CREDITS],
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_PROTOCOL],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert "optimize 1 InvariantViolation: credit over-return" in proc.stdout
+    assert proc.stdout.splitlines() == [
+        "occupancy optimize 1 InvariantViolation: VL buffer overflow: credit protocol broken",
+        "switch-credits optimize 1 InvariantViolation: credit over-return",
+        "hca-credits optimize 1 InvariantViolation: HCA credit over-return",
+    ]
 
 
 # -- config validation ----------------------------------------------------------
