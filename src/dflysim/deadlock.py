@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
 
 from .errors import RoutingLoop
-from .routing import RoutingConfig, route_walk
+from .routing import RoutingConfig, check_shape, route_walk
 from .topology import Topology
 
 Vertex = tuple[int, int]  # (channel id, vl)
@@ -58,10 +57,11 @@ def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGra
     """Collect the direct dependencies of all N(N-1) routes, per destination class.
 
     A class is the endnodes on one switch whose LFT columns agree on every
-    other switch and whose SL agrees for every source, so their routes form
-    one in-forest up to that switch. Each source walks toward the class, in
-    ascending order, until it reaches a (channel, VL, SL) state the class has
-    seen, and fans out to every member's terminal channel at that switch.
+    other switch. The SL depends only on the source and destination switches,
+    so the routes toward a class form one in-forest up to that switch. Each
+    source walks toward the class, in ascending order, until it reaches a
+    (channel, VL, SL) state the class has seen, and fans out to every member's
+    terminal channel at that switch.
 
     Equal to walking every pair with route_walk: the same vertices and edges,
     each edge's witness the smallest (src, dst) pair in src-major order whose
@@ -70,9 +70,9 @@ def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGra
     misdelivery). Injection channels only source edges and delivery channels
     only sink them, so terminal channels never close a cycle.
     """
+    check_shape(topology, config)
     n = topology.num_endnodes
     peer, lft, sl2vl = topology.peer, config.lft, config.sl2vl
-    sl_for = config.sl_policy.sl_for
     # a vertex code is channel id << 4 | VL: VLs are 4-bit, as parse_fabric_dump checks
     out_code: list[list[int | None]] = [[None] * len(row) for row in peer]
     inj: list[Vertex] = [(0, 0)] * n
@@ -86,15 +86,15 @@ def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGra
     vertex: dict[int, Vertex] = {cid << 4: (cid, vl) for cid, vl in inj}
     witness: dict = {}  # (u, v) -> src * n + dst of the smallest pair seen so far
 
-    def walk(dsw, members, col, slcol):
+    def walk(dsw, members, col, slrow):
         """Walk every source toward one class; return its smallest failing pair."""
         seen: dict[int, int] = {}  # in-vertex code << 4 | SL -> first source there
         table = sl2vl[dsw]
         fan = [(m, port, out_code[dsw][port]) for m, port in members]
         m0 = members[0][0]
         for src in range(n):
-            sl = slcol[src]
             cur, ip = start[src]
+            sl = slrow[cur]
             ut = inj[src]
             pair = src * n + m0
             try:
@@ -131,6 +131,7 @@ def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGra
 
     bad = []  # the smallest failing pair of each class that has one
     for dsw, row in enumerate(peer):
+        slrow = [config.sl(s, dsw) for s in range(len(peer))]  # by source switch
         classes: dict[tuple, list[tuple[int, int]]] = {}
         for port, end in enumerate(row):
             if end is None or end[0] != "h":
@@ -142,10 +143,9 @@ def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGra
                 continue
             col = [r[m] for r in lft]
             col[dsw] = -1  # each member has its own terminal port here
-            key = (tuple(col), tuple(map(sl_for, range(n), repeat(m))))
-            classes.setdefault(key, []).append((m, port))
-        for (col, slcol), members in classes.items():
-            failed = walk(dsw, sorted(members), col, slcol)
+            classes.setdefault(tuple(col), []).append((m, port))
+        for col, members in classes.items():
+            failed = walk(dsw, sorted(members), col, slrow)
             if failed is not None:
                 bad.append(failed)
     if bad:

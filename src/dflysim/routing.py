@@ -186,39 +186,8 @@ def discover_groups(graph) -> GroupAssignment:
 
 
 # ---------------------------------------------------------------------------
-# SL policies and the routing configuration
+# the routing configuration
 # ---------------------------------------------------------------------------
-
-class SlPolicy:
-    """Assigns the injection Service Level for a (source, destination) pair."""
-
-    name = "zero"
-    sl_count = 1
-
-    def sl_for(self, src: int, dst: int) -> int:
-        return 0
-
-
-class ZeroSl(SlPolicy):
-    pass
-
-
-class GroupOrderSl(SlPolicy):
-    """SL 0 when the destination group id is >= the source's, else SL 1.
-
-    With an identity SL-to-VL map this pins each route to one VL for its whole
-    length and orients inter-group dependencies by group order.
-    """
-
-    name = "group-order"
-    sl_count = 2
-
-    def __init__(self, endnode_group: list[int]):
-        self.endnode_group = list(endnode_group)
-
-    def sl_for(self, src: int, dst: int) -> int:
-        return 0 if self.endnode_group[dst] >= self.endnode_group[src] else 1
-
 
 _ZERO_ROW = (0,) * MAX_SLS
 _ONE_ROW = (1,) * MAX_SLS
@@ -230,14 +199,24 @@ class RoutingConfig:
     """Per-switch forwarding tables plus SL2VL tables for one engine.
 
     Synthesized configurations share one SL2VL table object across all
-    switches; parsed dumps keep one table per switch.
+    switches; parsed dumps keep one table per switch. `sl_groups` holds each
+    switch's SL group: its Dragonfly group under d3r, 0 everywhere otherwise.
     """
 
     engine: str
     lft: list[list[int]]                       # [switch][dst endnode] -> port
     sl2vl: list[list[list[tuple[int, ...]]]]   # [switch][out port][in port] -> 16 VLs
-    sl_policy: SlPolicy
+    sl_groups: tuple[int, ...]                 # [switch] -> SL group
     vl_shift_disabled: bool = False
+
+    def sl(self, src_switch: int, dst_switch: int) -> int:
+        """The packet SL: 1 when the destination's SL group is below the source's, else 0.
+
+        With d3r's identity SL-to-VL map this pins each route to one VL for its
+        whole length and orients inter-group dependencies by group order.
+        """
+        groups = self.sl_groups
+        return 1 if groups[dst_switch] < groups[src_switch] else 0
 
     @property
     def num_switches(self) -> int:
@@ -254,7 +233,7 @@ class RoutingConfig:
     @property
     def resources(self) -> tuple[int, int]:
         """(SL count, VL count) actually used by this configuration."""
-        sls = self.sl_policy.sl_count
+        sls = 2 if len(set(self.sl_groups)) > 1 else 1
         max_vl = 0
         for per_switch in {id(t): t for t in self.sl2vl}.values():  # shared tables once
             for per_op in per_switch:
@@ -263,6 +242,18 @@ class RoutingConfig:
                     if m > max_vl:
                         max_vl = m
         return sls, max_vl + 1
+
+
+def check_shape(topology: Topology, config: RoutingConfig) -> None:
+    """Raise UnsupportedTopology unless the tables fit the topology's switch
+    count, endnode count and radix."""
+    want = (topology.num_switches, topology.num_endnodes, topology.params.radix)
+    got = (config.num_switches, config.num_endnodes, config.radix)
+    if got != want:
+        raise UnsupportedTopology(
+            "routing tables for {} switches, {} endnodes, radix {} do not fit a "
+            "topology of {} switches, {} endnodes, radix {}".format(*got, *want)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +354,9 @@ def route_walk(topology: Topology, config: RoutingConfig, src: int, dst: int):
     """
     from .errors import RoutingLoop
 
-    sl = config.sl_policy.sl_for(src, dst)
+    check_shape(topology, config)
     cur = topology.switch_of(src)
+    sl = config.sl(cur, topology.switch_of(dst))
     ip = topology.attach_port(src)
     seq = [(topology.channel_at("h", src, 0), 0)]
     for _ in range(topology.num_switches + 1):
@@ -419,7 +411,7 @@ def route_dla(topology: Topology, groups: GroupAssignment | None = None,
         engine="dla",
         lft=_expand_lft(topology, np_table),
         sl2vl=_kind_tables(topology, rule),
-        sl_policy=ZeroSl(),
+        sl_groups=(0,) * topology.num_switches,
         vl_shift_disabled=not vl_shift,
     )
 
@@ -434,15 +426,12 @@ def route_d3r(topology: Topology, groups: GroupAssignment | None = None) -> Rout
     assign = groups if groups is not None else _groups_for(topology)
     _require_fully_connected(topology, assign)
     np_table = _minimal_next_port(topology, assign)
-    gid = assign.group_of
-    p = topology.params.p
-    endnode_group = [gid[e // p] for e in range(topology.num_endnodes)]
 
     return RoutingConfig(
         engine="d3r",
         lft=_expand_lft(topology, np_table),
         sl2vl=_kind_tables(topology, lambda op_kind, ip_kind: _IDENTITY2_ROW),
-        sl_policy=GroupOrderSl(endnode_group),
+        sl_groups=tuple(assign.group_of[s] for s in range(topology.num_switches)),
     )
 
 
@@ -506,7 +495,7 @@ def route_updn(topology: Topology, groups: GroupAssignment | None = None) -> Rou
         engine="updn",
         lft=_expand_lft(topology, np_table),
         sl2vl=_kind_tables(topology, lambda op_kind, ip_kind: _ZERO_ROW),
-        sl_policy=ZeroSl(),
+        sl_groups=(0,) * topology.num_switches,
     )
 
 
@@ -549,18 +538,22 @@ def vls_needed(engine: str, params: DragonflyParams) -> int:
 # fabric dump text format
 # ---------------------------------------------------------------------------
 
+def _dump_header(config: RoutingConfig) -> dict[str, str]:
+    """Header records in dump order. `slpolicy zero` when every switch shares
+    one SL group, else `group-order` with the groups in `groupmap`."""
+    sls, vls = config.resources
+    header = {"engine": config.engine, "sls": str(sls), "vls": str(vls)}
+    if sls == 1:
+        header["slpolicy"] = "zero"
+    else:
+        header["slpolicy"] = "group-order"
+        header["groupmap"] = " ".join(map(str, config.sl_groups))
+    return header
+
+
 def emit_fabric_dump(config: RoutingConfig) -> str:
     """Deterministic text dump of LFT and SL2VL tables; see parse_fabric_dump."""
-    out = [
-        f"engine {config.engine}",
-        f"sls {config.resources[0]}",
-        f"vls {config.resources[1]}",
-        f"slpolicy {config.sl_policy.name}",
-    ]
-    if isinstance(config.sl_policy, GroupOrderSl):
-        p = config.num_endnodes // config.num_switches
-        switch_groups = [config.sl_policy.endnode_group[s * p] for s in range(config.num_switches)]
-        out.append("groupmap " + " ".join(str(g) for g in switch_groups))
+    out = [f"{key} {value}" for key, value in _dump_header(config).items()]
     radix = config.radix
     for s in range(config.num_switches):
         out.append(f"switch {s}")
@@ -579,7 +572,8 @@ def parse_fabric_dump(text: str) -> RoutingConfig:
 
     emit(parse(emit(config))) is byte-identical to emit(config). Raises
     MalformedDump on structural or range errors (VL indices must be < 16, LFT
-    ports below the radix).
+    ports below the radix), and when the sls, vls, slpolicy or groupmap
+    records differ from what the parsed tables give.
     """
     header: dict[str, str] = {}
     lfts: list[list[int]] = []
@@ -636,8 +630,8 @@ def parse_fabric_dump(text: str) -> RoutingConfig:
 
     if not lfts:
         raise MalformedDump("no switch records")
-    if "engine" not in header or "slpolicy" not in header:
-        raise MalformedDump("missing engine/slpolicy header")
+    if "engine" not in header:
+        raise MalformedDump("missing engine header")
 
     num_endnodes = len(lfts[0])
     radix_keys = sorted(sl2vls[0])
@@ -655,28 +649,24 @@ def parse_fabric_dump(text: str) -> RoutingConfig:
         lft_lists.append([lft_map[d] for d in range(num_endnodes)])
         sl2vl_lists.append([[svl_map[(op, ip)] for ip in range(radix)] for op in range(radix)])
 
-    policy_name = header["slpolicy"]
-    if policy_name == "zero":
-        policy: SlPolicy = ZeroSl()
-    elif policy_name == "group-order":
-        if "groupmap" not in header:
-            raise MalformedDump("group-order policy requires a groupmap line")
-        try:
-            switch_groups = [int(w) for w in header["groupmap"].split()]
-        except ValueError:
-            raise MalformedDump("groupmap entries must be integers") from None
-        if len(switch_groups) != len(lfts):
-            raise MalformedDump("groupmap length != switch count")
-        if num_endnodes % len(lfts) != 0:
-            raise MalformedDump("endnode count is not a multiple of switch count")
-        p = num_endnodes // len(lfts)
-        policy = GroupOrderSl([switch_groups[e // p] for e in range(num_endnodes)])
-    else:
-        raise MalformedDump(f"unknown slpolicy {policy_name!r}")
+    try:  # no groupmap: every switch in SL group 0
+        sl_groups = tuple(int(w) for w in header.get("groupmap", "0 " * len(lfts)).split())
+    except ValueError:
+        raise MalformedDump("groupmap entries must be integers") from None
+    if len(sl_groups) != len(lfts):
+        raise MalformedDump("groupmap length != switch count")
 
-    return RoutingConfig(
+    config = RoutingConfig(
         engine=header["engine"],
         lft=lft_lists,
         sl2vl=sl2vl_lists,
-        sl_policy=policy,
+        sl_groups=sl_groups,
     )
+    want = _dump_header(config)
+    for key in ("sls", "vls", "slpolicy", "groupmap"):
+        if header.get(key) != want.get(key):
+            raise MalformedDump(
+                f"{key} {header.get(key, '(missing)')} does not match the tables, "
+                f"which give {want.get(key, 'no ' + key)}"
+            )
+    return config

@@ -33,7 +33,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, replace
 
 from .errors import DeadlockDetected, InvalidParams, InvariantViolation
-from .routing import RoutingConfig
+from .routing import RoutingConfig, check_shape
 from .topology import GLOBAL, LOCAL, Topology
 from .traffic import TrafficPattern
 
@@ -101,6 +101,7 @@ class SimConfig:
         if horizon is not None and not 1 <= horizon * _PS < float("inf"):
             # a 0 ps horizon lets the watchdog re-arm at the same time forever
             raise InvalidParams("stall horizon must be finite and at least 1 ps")
+        check_shape(self.topology, self.routing)
         _, vls_needed = self.routing.resources
         if vls_needed > self.data_vls:
             raise InvalidParams(
@@ -253,7 +254,7 @@ class _FabricSim:
         radix = topo.params.radix
         rng = random.Random(cfg.seed)
         choose = cfg.pattern.choose
-        sl_for = cfg.routing.sl_policy.sl_for
+        sl = cfg.routing.sl
         src_load = [cfg.pattern.source_load(e, cfg.offered_load) for e in range(n)]
         lft = cfg.routing.lft
         sl2vl = cfg.routing.sl2vl
@@ -400,7 +401,7 @@ class _FabricSim:
                     if ld > 0.0 and rng.random() < ld:
                         dst = choose(e, rng)
                         injected += 1
-                        hca_q[e].append([e, dst, sl_for(e, dst), "tc"])
+                        hca_q[e].append([e, dst, sl(e // p, dst // p), "tc"])
                         hca_try(e, t)
                 if t + PACKET_PS < end:
                     push(heap, (t + PACKET_PS, seq(), _E_SLOT, 0, 0, -1, None))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -219,10 +221,31 @@ def _fabrics(draw, max_endnodes=80):
 
 
 @settings(max_examples=40, deadline=None)
-@given(params=_fabrics(), variant=st.sampled_from(VARIANTS))
-def test_build_cdg_matches_brute_force_oracle(params, variant):
+@given(params=_fabrics(), variant=st.sampled_from(VARIANTS), data=st.data())
+def test_build_cdg_matches_brute_force_oracle(params, variant, data):
+    """Also with SL groups drawn at random, beyond the engines' own groupings."""
     topo = build_topology(params)
-    _assert_matches_oracle(topo, _config(topo, variant))
+    config = _config(topo, variant)
+    s = topo.num_switches
+    sl_groups = data.draw(st.none() | st.lists(st.integers(0, 3), min_size=s, max_size=s))
+    if sl_groups is not None:
+        config = replace(config, sl_groups=tuple(sl_groups))
+    _assert_matches_oracle(topo, config)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=_fabrics(max_endnodes=40), variant=st.sampled_from(VARIANTS))
+def test_fabric_dump_round_trip_keeps_sls_and_graph(params, variant):
+    topo = build_topology(params)
+    config = _config(topo, variant)
+    text = emit_fabric_dump(config)
+    parsed = parse_fabric_dump(text)
+    assert emit_fabric_dump(parsed) == text
+    assert parsed.resources == config.resources
+    s = topo.num_switches
+    assert all(parsed.sl(u, v) == config.sl(u, v) for u in range(s) for v in range(s))
+    got, want = build_cdg(topo, parsed), build_cdg(topo, config)
+    assert (got.vertices, got.succ, got.witness) == (want.vertices, want.succ, want.witness)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

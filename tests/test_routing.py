@@ -4,7 +4,11 @@ from dflysim import (
     DragonflyParams,
     MalformedDump,
     NotADragonfly,
+    SimConfig,
+    UniformTraffic,
     UnsupportedParams,
+    UnsupportedTopology,
+    build_cdg,
     build_topology,
     discover_groups,
     emit_fabric_dump,
@@ -174,7 +178,7 @@ def test_dla_sl2vl_function():
     for sl in range(16):  # SL independent
         assert config.sl2vl[0][lc][gc][sl] == 1
     assert config.resources == (1, 2)
-    assert config.sl_policy.sl_for(0, 71) == 0
+    assert config.sl(0, 35) == 0  # endnodes 0 and 71 sit on switches 0 and 35
 
 
 def test_dla_shift_disabled_variant():
@@ -215,10 +219,10 @@ def test_d3r_intra_group_rides_vl0():
 def test_d3r_sl_policy_by_group_order():
     topo = build_topology(DragonflyParams(4, 2, 2))
     config = route_d3r(topo)
-    lo, hi = 0, 71  # group 0 and group 8
-    assert config.sl_policy.sl_for(lo, hi) == 0
-    assert config.sl_policy.sl_for(hi, lo) == 1
-    assert config.sl_policy.sl_for(0, 1) == 0
+    lo, hi = 0, 35  # switches of endnodes 0 and 71, in groups 0 and 8
+    assert config.sl(lo, hi) == 0
+    assert config.sl(hi, lo) == 1
+    assert config.sl(0, 0) == 0  # endnodes 0 and 1 share switch 0
 
 
 # -- updn ---------------------------------------------------------------------
@@ -374,6 +378,35 @@ def test_parse_rejects_lft_port_beyond_radix():
     bad = text.replace("lid 3 port 2", "lid 3 port 99", 1)
     with pytest.raises(MalformedDump, match="lid 3 port 99 is beyond radix 3"):
         parse_fabric_dump(bad)
+
+
+@pytest.mark.parametrize("engine, record, edited", [
+    ("dla", "sls 1", "sls 9"),
+    ("dla", "vls 2", "vls 7"),
+    # one group gives one SL, which would re-emit as "slpolicy zero"
+    ("d3r", "groupmap 0 0 1 1 2 2", "groupmap 0 0 0 0 0 0"),
+])
+def test_parse_rejects_header_that_disagrees_with_the_tables(engine, record, edited):
+    text = emit_fabric_dump(synthesize(build_topology(DragonflyParams(2, 1, 1)), engine))
+    assert record in text.splitlines()
+    with pytest.raises(MalformedDump, match="does not match the tables"):
+        parse_fabric_dump(text.replace(record, edited, 1))
+
+
+@pytest.mark.parametrize("config_shape, topo_shape", [("2,1,1", "4,2,2"), ("4,2,2", "2,1,1")])
+def test_tables_that_do_not_fit_the_topology_are_rejected(config_shape, topo_shape):
+    # unchecked, build_cdg and run_sim ended in IndexError, and route_walk reported
+    # a false RoutingLoop one way round and UnknownChannel the other
+    config = parse_fabric_dump(emit_fabric_dump(
+        route_dla(build_topology(DragonflyParams.parse(config_shape)))))
+    topo = build_topology(DragonflyParams.parse(topo_shape))
+    calls = [lambda: route_walk(topo, config, 0, 5), lambda: build_cdg(topo, config),
+             lambda: SimConfig(topo, config, UniformTraffic())]
+    for call in calls:
+        with pytest.raises(UnsupportedTopology) as err:
+            call()
+        assert "6 switches, 6 endnodes, radix 3" in str(err.value)
+        assert "36 switches, 72 endnodes, radix 7" in str(err.value)
 
 
 def test_parse_rejects_structural_damage():
