@@ -1,6 +1,6 @@
 """Measure accepted throughput with the flit-level simulator.
 
-Short windows keep this demo around a minute; the shipped manifest
+Short windows keep this demo under half a minute; the shipped manifest
 (manifests/desk72.manifest) runs the full study. Accepted throughput is
 normalized to the link rate and measured after warm-up only.
 """
@@ -38,7 +38,7 @@ print("buffering, full load:")
 bad = route_dla(topo, vl_shift=False)
 config = SimConfig(topology=topo, routing=bad, pattern=UniformTraffic(),
                    offered_load=1.0, voq=False, buffer_depth=1, seed=1,
-                   warmup_s=0.1e-3, measure_s=3e-3, stall_horizon_s=0.2e-3)
+                   warmup_s=0.1e-3, measure_s=3e-3)
 try:
     result = run_sim(config)
     print(f"survived this seed with accepted={result.accepted:.3f} "

@@ -160,89 +160,73 @@ def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGra
     return ChannelDependencyGraph(vertices=set(vertex.values()), succ=succ, witness=witness)
 
 
-def _cyclic_sccs(cdg: ChannelDependencyGraph) -> list[list[Vertex]]:
-    """Tarjan SCCs (iterative, deterministic order); only cycle-bearing ones."""
-    adj = cdg.succ
-    index: dict[Vertex, int] = {}
-    lowlink: dict[Vertex, int] = {}
-    onstack: set[Vertex] = set()
-    stack: list[Vertex] = []
-    counter = 0
-    out: list[list[Vertex]] = []
+def _peel(live, out) -> set[Vertex]:
+    """Kahn's peel: repeatedly drop the vertices of `live` that no edge in
+    `out` from a vertex still in `live` enters; return the rest."""
+    indeg = dict.fromkeys(live, 0)
+    for u in live:
+        for w in out.get(u, ()):
+            if w in indeg:
+                indeg[w] += 1
+    queue = [v for v, d in indeg.items() if not d]
+    for u in queue:
+        for w in out.get(u, ()):
+            if w in indeg:
+                indeg[w] -= 1
+                if not indeg[w]:
+                    queue.append(w)
+    return {v for v, d in indeg.items() if d}
 
-    for root in sorted(cdg.vertices):
-        if root in index:
-            continue
-        work = [(root, iter(sorted(adj.get(root, ()))))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        onstack.add(root)
-        while work:
-            v, it = work[-1]
-            descended = False
-            for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(sorted(adj.get(w, ())))))
-                    descended = True
-                    break
-                if w in onstack and index[w] < lowlink[v]:
-                    lowlink[v] = index[w]
-            if descended:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                if lowlink[v] < lowlink[u]:
-                    lowlink[u] = lowlink[v]
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                if len(comp) > 1 or v in adj.get(v, ()):
-                    out.append(comp)
-    return out
+
+def _cycle_core(cdg: ChannelDependencyGraph) -> set[Vertex]:
+    """The vertices on a cycle or on a path between two cycles; empty iff acyclic.
+
+    Peels the vertices with no predecessor left, then those with no successor
+    left. A vertex on a cycle keeps both, so every cycle survives both peels.
+    """
+    live = _peel(cdg.vertices, cdg.succ)
+    pred: dict[Vertex, list[Vertex]] = {}
+    for u in live:
+        for w in cdg.succ.get(u, ()):
+            if w in live:
+                pred.setdefault(w, []).append(u)
+    return _peel(live, pred)
+
+
+def _shortest_cycle(succ, live, start) -> tuple[Vertex, ...] | None:
+    """A shortest cycle through `start` within `live` (BFS, sorted neighbours), or None."""
+    parent: dict[Vertex, Vertex] = {}
+    dq = deque([start])
+    while dq:
+        u = dq.popleft()
+        for w in sorted(succ.get(u, ())):
+            if w == start:
+                path = [u]
+                while path[-1] != start:
+                    path.append(parent[path[-1]])
+                return tuple(reversed(path))
+            if w in live and w not in parent:
+                parent[w] = u
+                dq.append(w)
+    return None
 
 
 def check_deadlock_free(cdg: ChannelDependencyGraph) -> DeadlockReport:
     """Prove acyclicity or return a deterministic cycle witness.
 
     The witness starts at the lexicographically smallest vertex lying on any
-    cycle and follows a shortest cycle through it (BFS inside its SCC with
-    sorted neighbor order).
+    cycle and follows a shortest cycle through it (BFS with sorted neighbour
+    order). The cycle core also holds vertices between cycles, so candidates
+    are tried in ascending order and the first one that reaches itself is
+    that smallest cycle vertex.
     """
-    bad = _cyclic_sccs(cdg)
-    if not bad:
+    live = _cycle_core(cdg)
+    if not live:
         return DeadlockReport(acyclic=True)
-
-    start = min(min(comp) for comp in bad)
-    comp = next(set(c) for c in bad if start in c)
-    # shortest path start -> start inside the SCC
-    parent: dict[Vertex, Vertex] = {}
-    dq = deque([start])
-    closing_from = None
-    while dq and closing_from is None:
-        u = dq.popleft()
-        for w in sorted(cdg.succ.get(u, ())):
-            if w == start:
-                closing_from = u
-                break
-            if w in comp and w not in parent:
-                parent[w] = u
-                dq.append(w)
-    assert closing_from is not None, "SCC guaranteed a closing edge"
-    path = [closing_from]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
-    cycle = tuple(reversed(path))
+    for start in sorted(live):
+        cycle = _shortest_cycle(cdg.succ, live, start)
+        if cycle:
+            break
     flows = []
     for i, u in enumerate(cycle):
         v = cycle[(i + 1) % len(cycle)]

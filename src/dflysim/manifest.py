@@ -169,6 +169,8 @@ def parse_manifest(text: str) -> Manifest:
             if "stencil_dims" in rec:
                 pattern_args["dims"] = [int(w) for w in rec["stencil_dims"].split(",")]
             check_run_params(buffer_depth, data_vls, warmup_ms * 1e-3, measure_ms * 1e-3, loads)
+            # binding checks the pattern's name, arguments and fit to this fabric
+            make_pattern(rec["pattern"], **pattern_args).bind(params.num_endnodes, 1)
         except (ValueError, InvalidParams) as exc:
             raise ManifestError(f"{where}: {exc}") from None
         if not seeds:
@@ -177,15 +179,13 @@ def parse_manifest(text: str) -> Manifest:
         if data_vls < needed:
             raise ManifestError(f"{where}: engine {engine} needs {needed} VLs on this fabric, "
                                 f"got data_vls={data_vls}")
-        pattern = rec["pattern"]
-        make_pattern(pattern, **pattern_args)  # validates the name/args early
         rows.append(ManifestRow(
             index=index,
             params=params,
             engine=engine,
             voq=_parse_bool(rec["voq"], f"{where}: voq"),
             buffer_depth=buffer_depth,
-            pattern=pattern,
+            pattern=rec["pattern"],
             loads=loads,
             seeds=seeds,
             warmup_ms=warmup_ms,
@@ -201,24 +201,27 @@ def run_row(row: ManifestRow, out_dir: str, manifest_hash: str, force: bool = Fa
     """Execute one manifest row; returns 'done' or 'skipped'.
 
     Writes <basename>.csv and <basename>.json atomically. Skips the row when
-    its JSON output already exists with the same row hash (resume semantics).
+    its JSON output already exists with the same row hash and was written by
+    this tool version (resume semantics; a model change bumps __version__).
     """
     base = os.path.join(out_dir, row.basename())
     json_path, csv_path = base + ".json", base + ".csv"
+    tool = f"dflysim/{__version__}"
     if not force and os.path.exists(json_path):
         try:
             with open(json_path) as fh:
                 prior = json.load(fh)
-            if prior.get("row_hash") == row.row_hash and os.path.exists(csv_path):
+            if (prior.get("row_hash") == row.row_hash and prior.get("tool") == tool
+                    and os.path.exists(csv_path)):
                 return "skipped"
-        except (OSError, json.JSONDecodeError):
+        except (OSError, json.JSONDecodeError, AttributeError):  # unreadable: run again
             pass
 
     topo = build_topology(row.params)
     routing = synthesize(topo, row.engine)
     runs = []
     sim_config = None
-    csv_lines = [f"# manifest={manifest_hash} tool=dflysim/{__version__} row={row.row_hash}",
+    csv_lines = [f"# manifest={manifest_hash} tool={tool} row={row.row_hash}",
                  CSV_HEADER]
     for seed in row.seeds:
         config = SimConfig(
@@ -251,7 +254,7 @@ def run_row(row: ManifestRow, out_dir: str, manifest_hash: str, force: bool = Fa
             })
     doc = {
         "format_version": 1,
-        "tool": f"dflysim/{__version__}",
+        "tool": tool,
         "manifest_hash": manifest_hash,
         "row_hash": row.row_hash,
         "row": row.canonical(),

@@ -539,10 +539,14 @@ def vls_needed(engine: str, params: DragonflyParams) -> int:
 # ---------------------------------------------------------------------------
 
 def _dump_header(config: RoutingConfig) -> dict[str, str]:
-    """Header records in dump order. `slpolicy zero` when every switch shares
-    one SL group, else `group-order` with the groups in `groupmap`."""
+    """Header records in dump order. `vlshift off` only for the shift-disabled
+    dla variant; `slpolicy zero` when every switch shares one SL group, else
+    `group-order` with the groups in `groupmap`."""
     sls, vls = config.resources
-    header = {"engine": config.engine, "sls": str(sls), "vls": str(vls)}
+    header = {"engine": config.engine}
+    if config.vl_shift_disabled:
+        header["vlshift"] = "off"
+    header.update(sls=str(sls), vls=str(vls))
     if sls == 1:
         header["slpolicy"] = "zero"
     else:
@@ -572,8 +576,9 @@ def parse_fabric_dump(text: str) -> RoutingConfig:
 
     emit(parse(emit(config))) is byte-identical to emit(config). Raises
     MalformedDump on structural or range errors (VL indices must be < 16, LFT
-    ports below the radix), and when the sls, vls, slpolicy or groupmap
-    records differ from what the parsed tables give.
+    ports below the radix), on a vlshift record other than `vlshift off` on a
+    dla dump, and when the sls, vls, slpolicy or groupmap records differ from
+    what the parsed tables give.
     """
     header: dict[str, str] = {}
     lfts: list[list[int]] = []
@@ -623,7 +628,7 @@ def parse_fabric_dump(text: str) -> RoutingConfig:
             if any(v < 0 or v >= MAX_SLS for v in vls):
                 fail(lineno, "VL index out of range 0..15")
             sl2vls[-1][(op, ip)] = rows.setdefault(vls, vls)
-        elif key in ("engine", "sls", "vls", "slpolicy", "groupmap"):
+        elif key in ("engine", "vlshift", "sls", "vls", "slpolicy", "groupmap"):
             header[key] = " ".join(words[1:])
         else:
             fail(lineno, f"unknown record {key!r}")
@@ -655,12 +660,19 @@ def parse_fabric_dump(text: str) -> RoutingConfig:
         raise MalformedDump("groupmap entries must be integers") from None
     if len(sl_groups) != len(lfts):
         raise MalformedDump("groupmap length != switch count")
+    vlshift = header.get("vlshift")
+    if vlshift not in (None, "off"):
+        raise MalformedDump(f"vlshift {vlshift!r}: the only value is off")
+    if vlshift and header["engine"] != "dla":
+        raise MalformedDump(f"vlshift off does not match the tables: engine "
+                            f"{header['engine']} has no VL shift")
 
     config = RoutingConfig(
         engine=header["engine"],
         lft=lft_lists,
         sl2vl=sl2vl_lists,
         sl_groups=sl_groups,
+        vl_shift_disabled=vlshift == "off",
     )
     want = _dump_header(config)
     for key in ("sls", "vls", "slpolicy", "groupmap"):

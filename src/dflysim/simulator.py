@@ -28,6 +28,7 @@ import hashlib
 import heapq
 import itertools
 import json
+import math
 import random
 from collections import defaultdict, deque
 from dataclasses import dataclass, replace
@@ -68,10 +69,10 @@ def check_run_params(buffer_depth, data_vls, warmup_s, measure_s, loads):
         raise InvalidParams("buffer must hold at least one packet per VL")
     if not 1 <= data_vls <= 15:
         raise InvalidParams("data_vls must be in 1..15")
-    if not warmup_s >= 0:
-        raise InvalidParams("warm-up must not be negative")
-    if not measure_s * _PS >= 1:
-        raise InvalidParams("measurement window must be at least 1 ps")
+    if not 0 <= warmup_s < math.inf:
+        raise InvalidParams("warm-up must be finite and not negative")
+    if not 1 <= measure_s * _PS < math.inf:
+        raise InvalidParams("measurement window must be finite and at least 1 ps")
     if not all(0 <= load <= 1 for load in loads):
         raise InvalidParams("loads must be within [0, 1]")
     if loads != sorted(loads):
@@ -92,15 +93,10 @@ class SimConfig:
     warmup_s: float = 0.2e-3
     measure_s: float = 1.0e-3
     seed: int = 1
-    stall_horizon_s: float | None = None  # None: 10x max warm-up delivery gap, min 1 ms
 
     def __post_init__(self):
         check_run_params(self.buffer_depth, self.data_vls, self.warmup_s, self.measure_s,
                          [self.offered_load])
-        horizon = self.stall_horizon_s
-        if horizon is not None and not 1 <= horizon * _PS < float("inf"):
-            # a 0 ps horizon lets the watchdog re-arm at the same time forever
-            raise InvalidParams("stall horizon must be finite and at least 1 ps")
         check_shape(self.topology, self.routing)
         _, vls_needed = self.routing.resources
         if vls_needed > self.data_vls:
@@ -137,7 +133,7 @@ class SimConfig:
             "link_latency_s": LINK_LATENCY_S,
             "pipeline_latency_s": PIPELINE_LATENCY_S,
             "credit_latency_s": CREDIT_LATENCY_S,
-            "stall_horizon_s": self.stall_horizon_s,
+            "stall_horizon_s": None,  # derived in run(); the key keeps config hashes stable
         }
 
     @property
@@ -260,7 +256,7 @@ class _FabricSim:
         sl2vl = cfg.routing.sl2vl
         peer = topo.peer
         kind = [topo.port_kind(pt) for pt in range(radix)]
-        check_dla_vl = cfg.routing.engine == "dla" and not cfg.routing.vl_shift_disabled
+        check_dla_vl = cfg.routing.engine == "dla"  # shift-disabled tables never give VL 1
         voq = cfg.voq
         depth = cfg.buffer_depth
         warm = cfg.warmup_ps
@@ -337,9 +333,6 @@ class _FabricSim:
             else:
                 push(heap, (t + _LINK_PS + _PIPE_PS, seq(), _E_ENQ, down[1], down[2], ovl, pkt))
 
-        horizon_ps = None
-        if cfg.stall_horizon_s is not None:
-            horizon_ps = int(round(cfg.stall_horizon_s * _PS))
         push(heap, (0, seq(), _E_SLOT, 0, 0, -1, None))
         push(heap, (warm, seq(), _E_WATCHDOG, 0, 0, -1, None))
 
@@ -406,8 +399,9 @@ class _FabricSim:
                 if t + PACKET_PS < end:
                     push(heap, (t + PACKET_PS, seq(), _E_SLOT, 0, 0, -1, None))
             else:  # _E_WATCHDOG
-                if horizon_ps is None:
-                    horizon_ps = max(10 * max_warm_gap, _PS // 1000)  # >= 1 ms
+                # the stall horizon: 10x the largest warm-up delivery gap (fixed
+                # once the watchdog first fires at warm-up's end), at least 1 ms
+                horizon_ps = max(10 * max_warm_gap, _PS // 1000)
                 if watch_count == delivered and injected > delivered:
                     raise DeadlockDetected(
                         f"no delivery for {horizon_ps / _PS * 1e3:.3f} ms of simulated time "

@@ -77,6 +77,9 @@ class Stencil3dTraffic(TrafficPattern):
     name = "stencil3d"
 
     def __init__(self, dims: tuple[int, int, int] | None = None):
+        if dims is not None and not (
+                len(dims) == 3 and all(isinstance(d, int) and d > 0 for d in dims)):
+            raise InvalidParams(f"stencil dims must be three positive integers, got {dims}")
         self.dims = dims
 
     def bind(self, num_endnodes, seed):
@@ -120,6 +123,8 @@ class HotspotTraffic(TrafficPattern):
     name = "hotspot"
 
     def __init__(self, fraction: float = 0.06):
+        if not 0 < fraction <= 1:
+            raise InvalidParams(f"hot-spot fraction must be in (0, 1], got {fraction}")
         self.fraction = fraction
 
     def bind(self, num_endnodes, seed):

@@ -7,7 +7,7 @@ test, so agreement is meaningful.
 
 from collections import Counter, deque
 
-from dflysim.deadlock import ChannelDependencyGraph
+from dflysim.deadlock import ChannelDependencyGraph, DeadlockReport
 from dflysim.routing import route_walk
 from dflysim.topology import Topology
 
@@ -86,6 +86,112 @@ def brute_force_cdg(topo: Topology, config) -> ChannelDependencyGraph:
                         witness[(prev, v)] = (src, dst)
                 prev = v
     return ChannelDependencyGraph(vertices=vertices, succ=succ, witness=witness)
+
+
+def cyclic_sccs(cdg: ChannelDependencyGraph) -> list[list]:
+    """Tarjan SCCs (iterative, deterministic order); only cycle-bearing ones."""
+    adj = cdg.succ
+    index: dict = {}
+    lowlink: dict = {}
+    onstack: set = set()
+    stack: list = []
+    counter = 0
+    out: list[list] = []
+
+    for root in sorted(cdg.vertices):
+        if root in index:
+            continue
+        work = [(root, iter(sorted(adj.get(root, ()))))]
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        onstack.add(root)
+        while work:
+            v, it = work[-1]
+            descended = False
+            for w in it:
+                if w not in index:
+                    index[w] = lowlink[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    onstack.add(w)
+                    work.append((w, iter(sorted(adj.get(w, ())))))
+                    descended = True
+                    break
+                if w in onstack and index[w] < lowlink[v]:
+                    lowlink[v] = index[w]
+            if descended:
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                if lowlink[v] < lowlink[u]:
+                    lowlink[u] = lowlink[v]
+            if lowlink[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    onstack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                if len(comp) > 1 or v in adj.get(v, ()):
+                    out.append(comp)
+    return out
+
+
+def tarjan_deadlock_report(cdg: ChannelDependencyGraph) -> DeadlockReport:
+    """The original cycle check: Tarjan SCCs, then a BFS inside one SCC.
+
+    The witness starts at the smallest vertex of any cycle-bearing SCC and
+    follows a shortest cycle through it (sorted neighbour order).
+    """
+    bad = cyclic_sccs(cdg)
+    if not bad:
+        return DeadlockReport(acyclic=True)
+    start = min(min(comp) for comp in bad)
+    comp = next(set(c) for c in bad if start in c)
+    parent = {}
+    dq = deque([start])
+    closing_from = None
+    while dq and closing_from is None:
+        u = dq.popleft()
+        for w in sorted(cdg.succ.get(u, ())):
+            if w == start:
+                closing_from = u
+                break
+            if w in comp and w not in parent:
+                parent[w] = u
+                dq.append(w)
+    assert closing_from is not None, "SCC guaranteed a closing edge"
+    path = [closing_from]
+    while path[-1] != start:
+        path.append(parent[path[-1]])
+    cycle = tuple(reversed(path))
+    flows = tuple(cdg.witness[(u, cycle[(i + 1) % len(cycle)])] for i, u in enumerate(cycle))
+    return DeadlockReport(acyclic=False, cycle=cycle, inducing_flows=flows)
+
+
+def cycle_core_reference(cdg: ChannelDependencyGraph) -> set:
+    """Vertices on a cycle or on a path between two cycles: those that a
+    cycle-bearing SCC reaches and that reach one."""
+    on_cycle = {v for comp in cyclic_sccs(cdg) for v in comp}
+    pred: dict = {}
+    for u, ws in cdg.succ.items():
+        for w in ws:
+            pred.setdefault(w, set()).add(u)
+
+    def reach(adj):
+        seen = set(on_cycle)
+        todo = list(on_cycle)
+        while todo:
+            for w in adj.get(todo.pop(), ()):
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return seen
+
+    return reach(cdg.succ) & reach(pred)
 
 
 def switch_adjacency_simple(topo: Topology) -> dict[int, set[int]]:

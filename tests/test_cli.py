@@ -149,6 +149,23 @@ def test_sweep_rerun_is_noop_and_force_is_identical(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == files
 
 
+@pytest.mark.parametrize("edit", [lambda doc: dict(doc, tool="dflysim/0.0.0"), lambda doc: []],
+                         ids=["older-tool", "not-an-object"])
+def test_sweep_reruns_a_row_whose_output_it_cannot_trust(tmp_path, capsys, edit):
+    manifest = _write_manifest(tmp_path)
+    out_dir = tmp_path / "out"
+    assert main(["sweep", str(manifest), "--out-dir", str(out_dir)]) == 0
+    first = sorted(out_dir.glob("row01_*.json"))[0]
+    want = first.read_text()
+    first.write_text(json.dumps(edit(json.loads(want))))
+    capsys.readouterr()
+    assert main(["sweep", str(manifest), "--out-dir", str(out_dir)]) == 0
+    out = capsys.readouterr().out
+    assert [line.rsplit(": ", 1)[1] for line in out.splitlines() if line.startswith("row ")] \
+        == ["done", "skipped"]
+    assert first.read_text() == want
+
+
 def test_sweep_empty_manifest_is_ok(tmp_path):
     manifest = _write_manifest(tmp_path, "version=1\n")
     out_dir = tmp_path / "out"
@@ -169,15 +186,17 @@ def test_sweep_rejects_bad_version(tmp_path, capsys):
 
 
 def test_sweep_reports_partially_failed_rows(tmp_path, capsys):
-    # hotspot on a 6-endnode fabric has no hot sources: that row fails at run
-    # time while the healthy row still completes
-    text = TINY_MANIFEST.replace("pattern=uniform\nloads=0.4", "pattern=hotspot\nloads=0.4")
-    manifest = _write_manifest(tmp_path, text)
+    # a directory where row 2's JSON goes makes that row fail at run time
+    # while the healthy row still completes
+    manifest = _write_manifest(tmp_path)
     out_dir = tmp_path / "out"
+    row2 = parse_manifest(TINY_MANIFEST).rows[1]
+    (out_dir / (row2.basename() + ".json")).mkdir(parents=True)
     assert main(["sweep", str(manifest), "--out-dir", str(out_dir)]) == 1
     err = capsys.readouterr().err
     assert "row 02" in err and "1 of 2 rows failed" in err
-    assert len(list(out_dir.glob("*.csv"))) == 1  # the good row's output exists
+    # the good row's output exists
+    assert sorted(p.suffix for p in out_dir.glob("row01_*") if p.is_file()) == [".csv", ".json"]
 
 
 def test_sweep_honors_env_output_dir(tmp_path, monkeypatch, capsys):
@@ -202,6 +221,16 @@ def test_sweep_honors_env_output_dir(tmp_path, monkeypatch, capsys):
     ("measure_ms=0.2", "measure_ms=0"),
     ("pattern=uniform", "pattern=hotspot\nhotspot_fraction=x"),
     ("pattern=uniform", "pattern=stencil3d\nstencil_dims=2,x,1"),
+    ("warmup_ms=0.05", "warmup_ms=inf"),
+    ("measure_ms=0.2", "measure_ms=inf"),
+    ("pattern=uniform", "pattern=hotspot\nhotspot_fraction=nan"),
+    ("pattern=uniform", "pattern=hotspot\nhotspot_fraction=5"),
+    ("pattern=uniform", "pattern=hotspot"),  # 6 endnodes give no hot source
+    ("pattern=uniform", "pattern=stencil3d\nstencil_dims=1,2"),
+    ("pattern=uniform", "pattern=stencil3d\nstencil_dims=-1,-2,3"),
+    ("pattern=uniform", "pattern=stencil3d\nstencil_dims=0,0,0"),
+    ("pattern=uniform", "pattern=stencil3d\nstencil_dims=1,2,4"),  # 8 != 6 endnodes
+    ("pattern=uniform", "pattern=tornado"),
 ])
 def test_sweep_bad_row_value_names_the_row_and_exits_2(tmp_path, capsys, old, new):
     manifest = _write_manifest(tmp_path, TINY_MANIFEST.replace(old, new, 1))

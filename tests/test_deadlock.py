@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dflysim import (
     DragonflyParams,
     RoutingLoop,
+    UniformTraffic,
     build_cdg,
     build_topology,
     check_deadlock_free,
@@ -15,10 +16,16 @@ from dflysim import (
     route_dla,
     synthesize,
 )
-from dflysim.deadlock import ChannelDependencyGraph
+from dflysim.deadlock import ChannelDependencyGraph, _cycle_core
+from dflysim.simulator import SimConfig
 from dflysim.topology import TERMINAL
 
-from oracles import all_simple_cycles_exist, brute_force_cdg
+from oracles import (
+    all_simple_cycles_exist,
+    brute_force_cdg,
+    cycle_core_reference,
+    tarjan_deadlock_report,
+)
 
 
 def _cdg(vertices, edges):
@@ -59,6 +66,32 @@ def test_witness_picks_smallest_cycle_vertex():
              (vs[0], vs[1]), (vs[1], vs[2]), (vs[2], vs[0])]  # cycle {0, 1, 2}
     report = check_deadlock_free(_cdg(vs, edges))
     assert report.cycle[0] == (0, 0)
+
+
+@st.composite
+def _digraphs(draw):
+    """Small digraphs with self-loops and several SCCs; half of them also get a
+    vertex 0 between two cycles, so the cycle core's minimum lies on no cycle."""
+    n = draw(st.integers(1, 8))
+    ids = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=14))
+    if draw(st.booleans()):
+        a, b = n, n + 2  # cycles {a, a+1} and {b, b+1}, joined through vertex 0
+        edges += [(a, a + 1), (a + 1, a), (b, b + 1), (b + 1, b), (a + 1, 0), (0, b)]
+        n += 4
+    vertex = [divmod(i, 2) for i in range(n)]  # (channel id, VL) order is vertex order
+    succ, witness = {}, {}
+    for i, j in edges:
+        succ.setdefault(vertex[i], set()).add(vertex[j])
+        witness[(vertex[i], vertex[j])] = (i, j)
+    return ChannelDependencyGraph(vertices=set(vertex), succ=succ, witness=witness)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cdg=_digraphs())
+def test_cycle_check_matches_tarjan_reference(cdg):
+    assert _cycle_core(cdg) == cycle_core_reference(cdg)
+    assert check_deadlock_free(cdg) == tarjan_deadlock_report(cdg)
 
 
 # -- CDGs of synthesized configs ----------------------------------------------
@@ -206,7 +239,7 @@ def _assert_matches_oracle(topo, config):
     assert cdg.vertices == ref.vertices
     assert cdg.succ == ref.succ
     assert cdg.witness == ref.witness
-    assert check_deadlock_free(cdg) == check_deadlock_free(ref)
+    assert check_deadlock_free(cdg) == check_deadlock_free(ref) == tarjan_deadlock_report(cdg)
 
 
 @st.composite
@@ -242,6 +275,9 @@ def test_fabric_dump_round_trip_keeps_sls_and_graph(params, variant):
     parsed = parse_fabric_dump(text)
     assert emit_fabric_dump(parsed) == text
     assert parsed.resources == config.resources
+    assert parsed.vl_shift_disabled == config.vl_shift_disabled
+    assert (SimConfig(topo, parsed, UniformTraffic()).config_hash
+            == SimConfig(topo, config, UniformTraffic()).config_hash)
     s = topo.num_switches
     assert all(parsed.sl(u, v) == config.sl(u, v) for u in range(s) for v in range(s))
     got, want = build_cdg(topo, parsed), build_cdg(topo, config)
@@ -324,7 +360,9 @@ def test_corrupted_lft_fails_like_the_oracle(params, variant, data):
 def _assert_engines_acyclic(params):
     topo = build_topology(params)
     for engine in ("dla", "d3r", "updn"):
-        assert check_deadlock_free(build_cdg(topo, synthesize(topo, engine))).acyclic, engine
+        cdg = build_cdg(topo, synthesize(topo, engine))
+        report = check_deadlock_free(cdg)
+        assert report.acyclic and report == tarjan_deadlock_report(cdg), engine
 
 
 def test_engines_acyclic_at_1056_endnodes():

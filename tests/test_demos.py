@@ -8,14 +8,23 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# 04_throughput_study.py runs for about a minute and is left out
 DEMOS = ["01_build_and_inspect.py", "02_routing_tables.py", "03_deadlock_analysis.py"]
 
 
-@pytest.mark.parametrize("demo", DEMOS)
-def test_demo_exits_zero(demo):
+def _run_demo(demo):
     src = os.path.join(ROOT, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_exits_zero(demo):
+    _run_demo(demo)
+
+
+@pytest.mark.slow
+def test_throughput_demo_shows_the_stall():
+    assert "DeadlockDetected: no delivery for" in _run_demo("04_throughput_study.py")

@@ -385,6 +385,8 @@ def test_parse_rejects_lft_port_beyond_radix():
     ("dla", "vls 2", "vls 7"),
     # one group gives one SL, which would re-emit as "slpolicy zero"
     ("d3r", "groupmap 0 0 1 1 2 2", "groupmap 0 0 0 0 0 0"),
+    # only dla has a VL shift to turn off
+    ("d3r", "engine d3r", "engine d3r\nvlshift off"),
 ])
 def test_parse_rejects_header_that_disagrees_with_the_tables(engine, record, edited):
     text = emit_fabric_dump(synthesize(build_topology(DragonflyParams(2, 1, 1)), engine))
@@ -418,6 +420,8 @@ def test_parse_rejects_structural_damage():
         parse_fabric_dump("engine dla\nslpolicy zero\n")  # no switches
     with pytest.raises(MalformedDump):
         parse_fabric_dump(text.replace("slpolicy zero", "slpolicy mystery"))
+    with pytest.raises(MalformedDump, match="vlshift 'on'"):
+        parse_fabric_dump(text.replace("engine dla", "engine dla\nvlshift on"))
     # dropping one LFT line breaks totality
     lines = text.splitlines()
     lines.remove("lid 0 port 0")

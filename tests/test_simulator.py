@@ -230,10 +230,16 @@ def test_config_validation():
         _config(warmup_s=-1)
     with pytest.raises(InvalidParams):
         _config(engine="dla", data_vls=1)  # dla needs 2 VLs
-    # a horizon under 1 ps would re-arm the watchdog at the same time forever
-    for horizon in (0, -1e-3, float("nan"), 1e-13, float("inf")):
+    # an infinite window overflowed when rounded to picoseconds
+    for window in ({"warmup_s": float("inf")}, {"measure_s": float("inf")}):
         with pytest.raises(InvalidParams):
-            _config(stall_horizon_s=horizon)
+            _config(**window)
+    for fraction in (float("nan"), 5, 0, -0.1):
+        with pytest.raises(InvalidParams):
+            _config(pattern=HotspotTraffic(fraction))
+    for dims in ((1, 2), (-1, -2, 36), (0, 0, 0), (2.0, 6, 6)):
+        with pytest.raises(InvalidParams):
+            _config(pattern=Stencil3dTraffic(dims))
 
 
 # -- basic behavior -------------------------------------------------------------
@@ -333,7 +339,7 @@ def test_cyclic_config_deadlocks_under_pressure():
     for seed in range(1, 6):
         cfg = _config(engine="dla-noshift", voq=False, buffer_depth=1,
                       offered_load=1.0, seed=seed,
-                      warmup_s=0.1e-3, measure_s=3e-3, stall_horizon_s=0.2e-3)
+                      warmup_s=0.1e-3, measure_s=3e-3)
         seeds_tried.append(seed)
         try:
             run_sim(cfg)
@@ -343,8 +349,9 @@ def test_cyclic_config_deadlocks_under_pressure():
 
 
 def test_deadlock_free_config_does_not_trip_watchdog():
+    # the 1 ms minimum horizon checks at 1.1 and 2.1 ms, inside this window
     cfg = _config(voq=False, buffer_depth=1, offered_load=1.0, seed=1,
-                  warmup_s=0.1e-3, measure_s=1e-3, stall_horizon_s=0.2e-3)
+                  warmup_s=0.1e-3, measure_s=2.5e-3)
     r = run_sim(cfg)
     assert r.accepted > 0.2
 
