@@ -284,13 +284,20 @@ def _row_task(args):
 
 def run_manifest(manifest: Manifest, out_dir: str, jobs: int = 1, force: bool = False,
                  log=print) -> list[tuple[int, str, str]]:
-    """Run every row; returns [(row index, status, detail)] in row order."""
+    """Run every row; returns [(row index, status, detail)] in row order.
+
+    Rows run in min(jobs, rows) worker processes, or in this process when
+    that is 1: a pool may start all its workers at once, rows or not.
+    """
+    if jobs < 1:
+        raise InvalidParams(f"jobs must be at least 1, got {jobs}")
     os.makedirs(out_dir, exist_ok=True)
     tasks = [(row, out_dir, manifest.manifest_hash, force) for row in manifest.rows]
-    if jobs <= 1:
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         statuses = [_row_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             statuses = list(pool.map(_row_task, tasks))
     for index, status, detail in statuses:
         row = manifest.rows[index - 1]

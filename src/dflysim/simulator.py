@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import itertools
 import json
 import math
 import random
@@ -197,7 +196,8 @@ def arbitrate_output(last, pend, t, in_busy, credits, vrow):
 
 
 class _FabricSim:
-    """Single-run engine. Deterministic: heap ties break on event sequence.
+    """Single-run engine. Deterministic: events due at one time run in the
+    order they were scheduled, so a run is bit-reproducible for a fixed seed.
 
     Switch state is indexed [switch][port]: fifos[s][ip][vl] maps a FIFO key
     (the output port under VOQ, 0 without) to a list of packets; pending[s][op]
@@ -269,9 +269,20 @@ class _FabricSim:
         last_delivery = max_warm_gap = 0
         watch_count = -1
 
-        heap = []
-        push = heapq.heappush
-        seq = itertools.count().__next__
+        # exact-time buckets: the events due at each time, in the order they
+        # were scheduled, and a heap of the distinct pending times
+        buckets = {}
+        times = []
+        bucket_at = buckets.get
+        push_time = heapq.heappush
+
+        def at(t, event):
+            bucket = bucket_at(t)
+            if bucket is None:
+                buckets[t] = [event]
+                push_time(times, t)
+            else:
+                bucket.append(event)
 
         def hca_try(e, t):
             nonlocal in_fabric
@@ -281,8 +292,8 @@ class _FabricSim:
             hca_credit[e] -= 1
             hca_busy[e] = t + PACKET_PS
             in_fabric += 1
-            push(heap, (t + _LINK_PS + _PIPE_PS, seq(), _E_ENQ, e // p, e % p, 0, q.popleft()))
-            push(heap, (t + PACKET_PS, seq(), _E_HCA, e, 0, -1, None))
+            at(t + _LINK_PS + _PIPE_PS, (_E_ENQ, e // p, e % p, 0, q.popleft()))
+            at(t + PACKET_PS, (_E_HCA, e, 0, -1, None))
 
         def arb(s, op, pend, t):
             """Arbitrate idle output op of switch s over its non-empty `pend`."""
@@ -309,7 +320,7 @@ class _FabricSim:
                 op2 = lft[s][nxt[1]]
                 pending[s][op2][key] = nxt
                 if op2 != op:
-                    push(heap, (t, seq(), _E_ARB, s, op2, -1, None))
+                    at(t, (_E_ARB, s, op2, -1, None))
             occ[s][ip][vl] -= 1
 
             if check_dla_vl and ovl == 1 and (kind[op] != LOCAL or pkt[3] != GLOBAL):
@@ -319,96 +330,99 @@ class _FabricSim:
             ports = peer[s]
             up = ports[ip]
             if up[0] == "h":
-                push(heap, (t_free + _CREDIT_PS, seq(), _E_HCA, up[1], 1, -1, None))
+                at(t_free + _CREDIT_PS, (_E_HCA, up[1], 1, -1, None))
             else:
-                push(heap, (t_free + _CREDIT_PS, seq(), _E_ARB, up[1], up[2], vl, None))
+                at(t_free + _CREDIT_PS, (_E_ARB, up[1], up[2], vl, None))
 
-            push(heap, (t_free, seq(), _E_RELEASE, s, op, -1, None))
+            at(t_free, (_E_RELEASE, s, op, -1, None))
 
             pkt[3] = kind[op]
             down = ports[op]
             if down[0] == "h":
-                push(heap, (t + _LINK_PS + PACKET_PS, seq(), _E_DELIVER, down[1], 0, -1, None))
-                push(heap, (t + _LINK_PS + PACKET_PS + _CREDIT_PS, seq(), _E_ARB, s, op, ovl, None))
+                at(t + _LINK_PS + PACKET_PS, (_E_DELIVER, down[1], 0, -1, None))
+                at(t + _LINK_PS + PACKET_PS + _CREDIT_PS, (_E_ARB, s, op, ovl, None))
             else:
-                push(heap, (t + _LINK_PS + _PIPE_PS, seq(), _E_ENQ, down[1], down[2], ovl, pkt))
+                at(t + _LINK_PS + _PIPE_PS, (_E_ENQ, down[1], down[2], ovl, pkt))
 
-        push(heap, (0, seq(), _E_SLOT, 0, 0, -1, None))
-        push(heap, (warm, seq(), _E_WATCHDOG, 0, 0, -1, None))
+        at(0, (_E_SLOT, 0, 0, -1, None))
+        at(warm, (_E_WATCHDOG, 0, 0, -1, None))
 
-        pop = heapq.heappop
-        while heap:
-            t, _seq, code, a, b, c, d = pop(heap)
+        pop_time = heapq.heappop
+        while times:
+            t = pop_time(times)
             if t >= end:
                 break
-            if code == _E_ENQ:
-                # packet d arrives at switch a, input b, VL c
-                row = occ[a][b]
-                row[c] += 1
-                if row[c] > depth:
-                    raise InvariantViolation("VL buffer overflow: credit protocol broken")
-                op = lft[a][d[1]]
-                q = fifos[a][b][c][op if voq else 0]
-                q.append(d)
-                if len(q) == 1:
-                    pend = pending[a][op]
-                    pend[(b, c)] = d
-                    if out_busy[a][op] <= t:
-                        arb(a, op, pend, t)
-            elif code == _E_ARB:
-                if c >= 0:
-                    row = credits[a][b]
+            # events that fall due at t while the bucket runs join its end
+            for code, a, b, c, d in buckets[t]:
+                if code == _E_ENQ:
+                    # packet d arrives at switch a, input b, VL c
+                    row = occ[a][b]
                     row[c] += 1
                     if row[c] > depth:
-                        raise InvariantViolation("credit over-return")
-                pend = pending[a][b]
-                if pend and out_busy[a][b] <= t:
-                    arb(a, b, pend, t)
-            elif code == _E_RELEASE:
-                # output b first, then every other output the freed input may
-                # feed; a second try of b, with nothing freed, cannot grant
-                pend_s = pending[a]
-                busy = out_busy[a]
-                if pend_s[b] and busy[b] <= t:
-                    arb(a, b, pend_s[b], t)
-                for op in range(radix):
-                    pend = pend_s[op]
-                    if pend and op != b and busy[op] <= t:
-                        arb(a, op, pend, t)
-            elif code == _E_DELIVER:
-                delivered += 1
-                in_fabric -= 1
-                if t >= warm:
-                    measured_by_dst[a] += 1
-                elif t - last_delivery > max_warm_gap:
-                    max_warm_gap = t - last_delivery
-                last_delivery = t
-            elif code == _E_HCA:
-                hca_credit[a] += b
-                if hca_credit[a] > depth:
-                    raise InvariantViolation("HCA credit over-return")
-                hca_try(a, t)
-            elif code == _E_SLOT:
-                for e in range(n):
-                    ld = src_load[e]
-                    if ld > 0.0 and rng.random() < ld:
-                        dst = choose(e, rng)
-                        injected += 1
-                        hca_q[e].append([e, dst, sl(e // p, dst // p), "tc"])
-                        hca_try(e, t)
-                if t + PACKET_PS < end:
-                    push(heap, (t + PACKET_PS, seq(), _E_SLOT, 0, 0, -1, None))
-            else:  # _E_WATCHDOG
-                # the stall horizon: 10x the largest warm-up delivery gap (fixed
-                # once the watchdog first fires at warm-up's end), at least 1 ms
-                horizon_ps = max(10 * max_warm_gap, _PS // 1000)
-                if watch_count == delivered and injected > delivered:
-                    raise DeadlockDetected(
-                        f"no delivery for {horizon_ps / _PS * 1e3:.3f} ms of simulated time "
-                        f"with {injected - delivered} packets outstanding"
-                    )
-                watch_count = delivered
-                push(heap, (t + horizon_ps, seq(), _E_WATCHDOG, 0, 0, -1, None))
+                        raise InvariantViolation("VL buffer overflow: credit protocol broken")
+                    op = lft[a][d[1]]
+                    q = fifos[a][b][c][op if voq else 0]
+                    q.append(d)
+                    if len(q) == 1:
+                        pend = pending[a][op]
+                        pend[(b, c)] = d
+                        if out_busy[a][op] <= t:
+                            arb(a, op, pend, t)
+                elif code == _E_ARB:
+                    if c >= 0:
+                        row = credits[a][b]
+                        row[c] += 1
+                        if row[c] > depth:
+                            raise InvariantViolation("credit over-return")
+                    pend = pending[a][b]
+                    if pend and out_busy[a][b] <= t:
+                        arb(a, b, pend, t)
+                elif code == _E_RELEASE:
+                    # output b first, then every other output the freed input may
+                    # feed; a second try of b, with nothing freed, cannot grant
+                    pend_s = pending[a]
+                    busy = out_busy[a]
+                    if pend_s[b] and busy[b] <= t:
+                        arb(a, b, pend_s[b], t)
+                    for op in range(radix):
+                        pend = pend_s[op]
+                        if pend and op != b and busy[op] <= t:
+                            arb(a, op, pend, t)
+                elif code == _E_DELIVER:
+                    delivered += 1
+                    in_fabric -= 1
+                    if t >= warm:
+                        measured_by_dst[a] += 1
+                    elif t - last_delivery > max_warm_gap:
+                        max_warm_gap = t - last_delivery
+                    last_delivery = t
+                elif code == _E_HCA:
+                    hca_credit[a] += b
+                    if hca_credit[a] > depth:
+                        raise InvariantViolation("HCA credit over-return")
+                    hca_try(a, t)
+                elif code == _E_SLOT:
+                    for e in range(n):
+                        ld = src_load[e]
+                        if ld > 0.0 and rng.random() < ld:
+                            dst = choose(e, rng)
+                            injected += 1
+                            hca_q[e].append([e, dst, sl(e // p, dst // p), "tc"])
+                            hca_try(e, t)
+                    if t + PACKET_PS < end:
+                        at(t + PACKET_PS, (_E_SLOT, 0, 0, -1, None))
+                else:  # _E_WATCHDOG
+                    # the stall horizon: 10x the largest warm-up delivery gap (fixed
+                    # once the watchdog first fires at warm-up's end), at least 1 ms
+                    horizon_ps = max(10 * max_warm_gap, _PS // 1000)
+                    if watch_count == delivered and injected > delivered:
+                        raise DeadlockDetected(
+                            f"no delivery for {horizon_ps / _PS * 1e3:.3f} ms of simulated time "
+                            f"with {injected - delivered} packets outstanding"
+                        )
+                    watch_count = delivered
+                    at(t + horizon_ps, (_E_WATCHDOG, 0, 0, -1, None))
+            del buckets[t]
 
         self.injected, self.delivered, self.in_fabric = injected, delivered, in_fabric
         # conservation audit: everything injected is delivered, queued, or in flight

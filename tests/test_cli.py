@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from dflysim import manifest as manifest_mod
 from dflysim.cli import main
 from dflysim.manifest import CSV_HEADER, parse_manifest
 from dflysim.errors import ManifestError
@@ -238,6 +239,46 @@ def test_sweep_bad_row_value_names_the_row_and_exits_2(tmp_path, capsys, old, ne
     assert main(["sweep", str(manifest), "--out-dir", str(out_dir)]) == 2
     assert "row 1" in capsys.readouterr().err
     assert not out_dir.exists()  # rejected while parsing, before any row runs
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs rows in process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs, pool", [(1, None), (2, 2), (3, 2)])
+def test_sweep_starts_no_more_workers_than_rows(tmp_path, monkeypatch, capsys, jobs, pool):
+    monkeypatch.setattr(manifest_mod, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    manifest = _write_manifest(tmp_path)
+    out_dir = tmp_path / "out"
+    assert main(["sweep", str(manifest), "--out-dir", str(out_dir), "--jobs", str(jobs)]) == 0
+    assert _RecordingPool.sizes == ([] if pool is None else [pool])
+    assert len(list(out_dir.glob("*.json"))) == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_jobs_below_one_exits_2(tmp_path, monkeypatch, capsys, jobs):
+    monkeypatch.setattr(manifest_mod, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    manifest = _write_manifest(tmp_path)
+    out_dir = tmp_path / "out"
+    assert main(["sweep", str(manifest), "--out-dir", str(out_dir), "--jobs", jobs]) == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+    assert _RecordingPool.sizes == [] and not out_dir.exists()
 
 
 def test_sweep_gates_large_fabrics(tmp_path, capsys):

@@ -1,6 +1,8 @@
+import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -16,7 +18,7 @@ from dflysim import (
     route_dla,
     synthesize,
 )
-from dflysim.simulator import PACKET_PS, SimConfig, arbitrate_output, run_sim, sweep
+from dflysim.simulator import PACKET_PS, SimConfig, _FabricSim, arbitrate_output, run_sim, sweep
 from dflysim.traffic import HotspotTraffic, Stencil3dTraffic, TrafficPattern
 from oracles import sorted_scan_arbiter
 
@@ -152,12 +154,50 @@ PINNED_RESULTS = {
 }
 
 
+# The fabric state when a PINNED_RESULTS run stops: (injected, delivered,
+# in_fabric, state digest). result_hash sees only in-window deliveries; this
+# digest covers every buffer, credit, busy time, arbiter pointer and source
+# queue length, so any change to the order events run in shows here.
+PINNED_END_STATE = {
+    ("dla", True): (17640, 15157, 2379, "a680c2875921b474"),
+    ("dla", False): (17640, 11402, 1711, "fac97dc5487f3200"),
+    ("d3r", True): (17640, 15185, 2361, "d6911adbe1f6078e"),
+    ("d3r", False): (17640, 11371, 1822, "0b771c866a8c0b21"),
+    ("updn", True): (17640, 6986, 2152, "a01e45ec73230050"),
+    ("updn", False): (17640, 4379, 1907, "b96500317f30f5f6"),
+    ("dla", False, "hotspot", 1, 0.1): (2612, 1989, 26, "f4aaefc7a00f32f6"),
+    ("dla", False, "hotspot", 1, 0.5): (9326, 6724, 138, "9195e0fd3e2b5dca"),
+    ("d3r", True, "stencil3d", 2, 0.1): (1744, 1720, 24, "64041048fc68b8c8"),
+    ("d3r", True, "stencil3d", 2, 0.5): (8817, 8674, 123, "fa4d357cac51f311"),
+    ("updn", False, "uniform", 4, 0.1): (1750, 1737, 13, "fa142cd713f5d471"),
+    ("updn", False, "uniform", 4, 0.5): (8857, 3073, 456, "c27673d20a250909"),
+}
+
+
+def _pinned_config(key):
+    engine, voq, pattern, depth, load = key + ("uniform", 16, 1.0)[len(key) - 2:]
+    return _config(engine, pattern=make_pattern(pattern), voq=voq, buffer_depth=depth,
+                   offered_load=load, seed=1, warmup_s=0.05e-3, measure_s=0.2e-3)
+
+
+def _state_digest(sim):
+    state = (sim.occ, sim.credits, sim.in_busy, sim.out_busy, sim.rr_last,
+             sim.hca_credit, sim.hca_busy, [len(q) for q in sim.hca_q])
+    return hashlib.sha256(repr(state).encode()).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("key", sorted(PINNED_RESULTS), ids=lambda k: "-".join(map(str, k)))
 def test_saturation_results_are_pinned(key):
-    engine, voq, pattern, depth, load = key + ("uniform", 16, 1.0)[len(key) - 2:]
-    r = run_sim(_config(engine, pattern=make_pattern(pattern), voq=voq, buffer_depth=depth,
-                        offered_load=load, seed=1, warmup_s=0.05e-3, measure_s=0.2e-3))
-    assert r.result_hash == PINNED_RESULTS[key]
+    assert run_sim(_pinned_config(key)).result_hash == PINNED_RESULTS[key]
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_RESULTS), ids=lambda k: "-".join(map(str, k)))
+def test_end_state_is_pinned(key):
+    cfg = _pinned_config(key)
+    sim = _FabricSim(replace(cfg, pattern=cfg.pattern.bind(cfg.topology.num_endnodes, cfg.seed)))
+    sim.run()
+    assert (sim.injected, sim.delivered, sim.in_fabric, _state_digest(sim)) \
+        == PINNED_END_STATE[key]
 
 
 # -- invariants -----------------------------------------------------------------
