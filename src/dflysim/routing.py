@@ -17,7 +17,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import MalformedDump, NotADragonfly, UnsupportedParams, UnsupportedTopology
+from .errors import (InvariantViolation, MalformedDump, NotADragonfly, UnsupportedParams,
+                     UnsupportedTopology)
 from .topology import GLOBAL, LOCAL, DragonflyParams, Topology, build_topology
 
 MAX_SLS = 16
@@ -256,6 +257,25 @@ def check_shape(topology: Topology, config: RoutingConfig) -> None:
         )
 
 
+def _dla_vl(op_kind: str, ip_kind: str) -> int:
+    """The dla VL shift (Kim et al., ISCA 2008): VL 1 from a global to a local port, else 0."""
+    return 1 if op_kind == LOCAL and ip_kind == GLOBAL else 0
+
+
+def check_vl_shift(topology: Topology, config: RoutingConfig) -> None:
+    """Raise InvariantViolation where a dla table gives an SL in use VL 1 and _dla_vl gives
+    VL 0. Links join ports of one kind, so each turn's input kind is the last hop's kind."""
+    if config.engine == "dla":
+        sls = config.resources[0]
+        kinds = [topology.port_kind(pt) for pt in range(topology.params.radix)]
+        for per_switch in {id(t): t for t in config.sl2vl}.values():  # shared tables once
+            for op, per_op in enumerate(per_switch):
+                for ip, row in enumerate(per_op):
+                    if 1 in row[:sls] and not _dla_vl(kinds[op], kinds[ip]):
+                        raise InvariantViolation(
+                            "VL 1 is only legal on a local channel right after a global hop")
+
+
 # ---------------------------------------------------------------------------
 # shared synthesis helpers
 # ---------------------------------------------------------------------------
@@ -391,26 +411,20 @@ def route_dla(topology: Topology, groups: GroupAssignment | None = None,
               vl_shift: bool = True) -> RoutingConfig:
     """Minimal Dragonfly routing with the one-shot VL shift.
 
-    The SL2VL function returns VL 1 exactly when the output port is a local
-    channel and the input port is a global channel, for every SL; VL 0
-    otherwise. `vl_shift=False` builds the diagnostic variant with the shift
+    Every SL takes the VL that `_dla_vl` gives its turn: VL 1 exactly when the
+    output port is a local channel and the input port is a global channel,
+    VL 0 otherwise. `vl_shift=False` builds the diagnostic variant with the shift
     suppressed (known to leave cyclic dependencies).
     """
     assign = groups if groups is not None else _groups_for(topology)
     _require_fully_connected(topology, assign)
     np_table = _minimal_next_port(topology, assign)
 
-    if vl_shift:
-        def rule(op_kind, ip_kind):
-            return _ONE_ROW if (op_kind == LOCAL and ip_kind == GLOBAL) else _ZERO_ROW
-    else:
-        def rule(op_kind, ip_kind):
-            return _ZERO_ROW
-
+    rows = (_ZERO_ROW, _ONE_ROW if vl_shift else _ZERO_ROW)
     return RoutingConfig(
         engine="dla",
         lft=_expand_lft(topology, np_table),
-        sl2vl=_kind_tables(topology, rule),
+        sl2vl=_kind_tables(topology, lambda op_kind, ip_kind: rows[_dla_vl(op_kind, ip_kind)]),
         sl_groups=(0,) * topology.num_switches,
         vl_shift_disabled=not vl_shift,
     )

@@ -20,6 +20,10 @@ Model highlights:
 * Open-loop injection: a Bernoulli draw per source per packet slot at the
   offered rate; source queues are unbounded and accepted throughput counts
   delivered tails inside the measurement window only.
+* A packet is an immutable (destination, SL) pair. SimConfig checks the dla
+  VL-shift rule on the tables once, so no grant re-checks it.
+* The stall check is a deadline, not an event: it runs before the events of
+  the first time at or after it is due.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, replace
 
 from .errors import DeadlockDetected, InvalidParams, InvariantViolation
-from .routing import RoutingConfig, check_shape
-from .topology import GLOBAL, LOCAL, Topology
+from .routing import RoutingConfig, check_shape, check_vl_shift
+from .topology import Topology
 from .traffic import TrafficPattern
 
 _PS = 10**12
@@ -59,7 +63,6 @@ _E_ENQ = 2
 _E_ARB = 3       # switch a, output b: a credit on VL c comes back if c >= 0, then arbitrate
 _E_RELEASE = 4
 _E_DELIVER = 5
-_E_WATCHDOG = 6
 
 
 def check_run_params(buffer_depth, data_vls, warmup_s, measure_s, loads):
@@ -97,6 +100,7 @@ class SimConfig:
         check_run_params(self.buffer_depth, self.data_vls, self.warmup_s, self.measure_s,
                          [self.offered_load])
         check_shape(self.topology, self.routing)
+        check_vl_shift(self.topology, self.routing)
         _, vls_needed = self.routing.resources
         if vls_needed > self.data_vls:
             raise InvalidParams(
@@ -174,10 +178,10 @@ class SimResult:
 def arbitrate_output(last, pend, t, in_busy, credits, vrow):
     """Round-robin pick over one output's pending heads, with per-output memory.
 
-    `pend` maps (input port, VL) keys to head packets, in any order; `last` is
-    the key granted last, or (-1, -1) before the first grant. A key is
-    eligible when its input is idle at `t` (in_busy[ip] <= t) and the output
-    VL that vrow maps it to has a credit. One pass returns the smallest
+    `pend` maps (input port, VL) keys to (dst, sl) head packets, in any
+    order; `last` is the key granted last, or (-1, -1) before the first grant.
+    A key is eligible when its input is idle at `t` (in_busy[ip] <= t) and the
+    output VL that vrow maps its SL to has a credit. One pass returns the smallest
     eligible key after `last`, else the smallest eligible key (the scan
     wraps), else None: never a creditless pick while an eligible candidate
     exists (work conserving).
@@ -185,7 +189,7 @@ def arbitrate_output(last, pend, t, in_busy, credits, vrow):
     after = wrapped = None
     for key, pkt in pend.items():
         ip = key[0]
-        if in_busy[ip] > t or credits[vrow[ip][pkt[2]]] <= 0:
+        if in_busy[ip] > t or credits[vrow[ip][pkt[1]]] <= 0:
             continue
         if key > last:
             if after is None or key < after:
@@ -200,8 +204,8 @@ class _FabricSim:
     order they were scheduled, so a run is bit-reproducible for a fixed seed.
 
     Switch state is indexed [switch][port]: fifos[s][ip][vl] maps a FIFO key
-    (the output port under VOQ, 0 without) to a list of packets; pending[s][op]
-    maps (ip, vl) to the head packet that waits for output op.
+    (the output port under VOQ, 0 without) to a list of (dst, sl) packets;
+    pending[s][op] maps (ip, vl) to the head packet that waits for output op.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -255,8 +259,6 @@ class _FabricSim:
         lft = cfg.routing.lft
         sl2vl = cfg.routing.sl2vl
         peer = topo.peer
-        kind = [topo.port_kind(pt) for pt in range(radix)]
-        check_dla_vl = cfg.routing.engine == "dla"  # shift-disabled tables never give VL 1
         voq = cfg.voq
         depth = cfg.buffer_depth
         warm = cfg.warmup_ps
@@ -267,7 +269,7 @@ class _FabricSim:
         measured_by_dst = self.measured_by_dst
         injected = delivered = in_fabric = 0
         last_delivery = max_warm_gap = 0
-        watch_count = -1
+        watch_at, watch_count = warm, -1  # stall checks: at warm-up's end, then every horizon
 
         # exact-time buckets: the events due at each time, in the order they
         # were scheduled, and a heap of the distinct pending times
@@ -305,7 +307,7 @@ class _FabricSim:
                 return
             ip, vl = key
             pkt = pend.pop(key)
-            ovl = vrow[ip][pkt[2]]
+            ovl = vrow[ip][pkt[1]]
             cred[ovl] -= 1
             t_free = t + PACKET_PS
             out_busy[s][op] = t_free
@@ -317,14 +319,11 @@ class _FabricSim:
             del q[0]
             if q:
                 nxt = q[0]
-                op2 = lft[s][nxt[1]]
+                op2 = lft[s][nxt[0]]
                 pending[s][op2][key] = nxt
                 if op2 != op:
                     at(t, (_E_ARB, s, op2, -1, None))
             occ[s][ip][vl] -= 1
-
-            if check_dla_vl and ovl == 1 and (kind[op] != LOCAL or pkt[3] != GLOBAL):
-                raise InvariantViolation("VL 1 is only legal on a local channel right after a global hop")
 
             # return the freed slot upstream once our tail has left
             ports = peer[s]
@@ -336,7 +335,6 @@ class _FabricSim:
 
             at(t_free, (_E_RELEASE, s, op, -1, None))
 
-            pkt[3] = kind[op]
             down = ports[op]
             if down[0] == "h":
                 at(t + _LINK_PS + PACKET_PS, (_E_DELIVER, down[1], 0, -1, None))
@@ -345,13 +343,23 @@ class _FabricSim:
                 at(t + _LINK_PS + _PIPE_PS, (_E_ENQ, down[1], down[2], ovl, pkt))
 
         at(0, (_E_SLOT, 0, 0, -1, None))
-        at(warm, (_E_WATCHDOG, 0, 0, -1, None))
 
         pop_time = heapq.heappop
         while times:
             t = pop_time(times)
             if t >= end:
                 break
+            # each check due by t runs before t's events; the horizon is 10x the largest
+            # warm-up delivery gap (fixed by the check at warm-up's end), at least 1 ms
+            while watch_at <= t:
+                horizon_ps = max(10 * max_warm_gap, _PS // 1000)
+                if watch_count == delivered and injected > delivered:
+                    raise DeadlockDetected(
+                        f"no delivery for {horizon_ps / _PS * 1e3:.3f} ms of simulated time "
+                        f"with {injected - delivered} packets outstanding"
+                    )
+                watch_count = delivered
+                watch_at += horizon_ps
             # events that fall due at t while the bucket runs join its end
             for code, a, b, c, d in buckets[t]:
                 if code == _E_ENQ:
@@ -360,7 +368,7 @@ class _FabricSim:
                     row[c] += 1
                     if row[c] > depth:
                         raise InvariantViolation("VL buffer overflow: credit protocol broken")
-                    op = lft[a][d[1]]
+                    op = lft[a][d[0]]
                     q = fifos[a][b][c][op if voq else 0]
                     q.append(d)
                     if len(q) == 1:
@@ -401,27 +409,16 @@ class _FabricSim:
                     if hca_credit[a] > depth:
                         raise InvariantViolation("HCA credit over-return")
                     hca_try(a, t)
-                elif code == _E_SLOT:
+                else:  # _E_SLOT
                     for e in range(n):
                         ld = src_load[e]
                         if ld > 0.0 and rng.random() < ld:
                             dst = choose(e, rng)
                             injected += 1
-                            hca_q[e].append([e, dst, sl(e // p, dst // p), "tc"])
+                            hca_q[e].append((dst, sl(e // p, dst // p)))
                             hca_try(e, t)
                     if t + PACKET_PS < end:
                         at(t + PACKET_PS, (_E_SLOT, 0, 0, -1, None))
-                else:  # _E_WATCHDOG
-                    # the stall horizon: 10x the largest warm-up delivery gap (fixed
-                    # once the watchdog first fires at warm-up's end), at least 1 ms
-                    horizon_ps = max(10 * max_warm_gap, _PS // 1000)
-                    if watch_count == delivered and injected > delivered:
-                        raise DeadlockDetected(
-                            f"no delivery for {horizon_ps / _PS * 1e3:.3f} ms of simulated time "
-                            f"with {injected - delivered} packets outstanding"
-                        )
-                    watch_count = delivered
-                    at(t + horizon_ps, (_E_WATCHDOG, 0, 0, -1, None))
             del buckets[t]
 
         self.injected, self.delivered, self.in_fabric = injected, delivered, in_fabric

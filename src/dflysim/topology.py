@@ -66,10 +66,6 @@ class DragonflyParams:
     def balanced(self) -> bool:
         return self.a == 2 * self.h == 2 * self.p
 
-    @property
-    def oversubscribed(self) -> bool:
-        return self.a == 2 * self.h == self.p
-
     @classmethod
     def parse(cls, text: str) -> "DragonflyParams":
         """Parse 'a,h,p' or 'a,h,p,g' as used by the command line."""

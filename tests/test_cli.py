@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from dflysim import __version__
 from dflysim import manifest as manifest_mod
 from dflysim.cli import main
 from dflysim.manifest import CSV_HEADER, parse_manifest
@@ -184,6 +185,14 @@ def test_sweep_unknown_engine_names_the_row(tmp_path, capsys):
 def test_sweep_rejects_bad_version(tmp_path, capsys):
     manifest = _write_manifest(tmp_path, "version=9\n")
     assert main(["sweep", str(manifest)]) == 2
+
+
+def test_package_version_matches_pyproject():
+    # the version stamps every sweep file, so resume reads it; keep both in step
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as f:
+        assert tomllib.load(f)["project"]["version"] == __version__
 
 
 def test_sweep_reports_partially_failed_rows(tmp_path, capsys):

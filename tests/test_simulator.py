@@ -68,7 +68,7 @@ _SL_TO_VL = [(0, 1)] * 6  # vrow: SL 0 -> VL 0, SL 1 -> VL 1 on every input
 
 def _heads(*keys, sl=0):
     """Pending heads keyed (input, VL), as the simulator keeps them per output."""
-    return {key: [0, 0, sl, "tc"] for key in keys}
+    return {key: (0, sl) for key in keys}
 
 
 def test_arbiter_single_candidate_chosen():
@@ -87,7 +87,7 @@ def test_arbiter_strict_alternation():
 
 def test_arbiter_skips_creditless_candidates():
     pend = _heads((0, 0), (1, 0))
-    pend[(0, 0)][2] = 1  # (0, 0) waits for VL 1, which has no credit
+    pend[(0, 0)] = (0, 1)  # (0, 0) waits for VL 1, which has no credit
     for last in (NO_GRANT, (0, 0), (1, 0)):
         assert arbitrate_output(last, pend, 0, _IDLE, [1, 0], _SL_TO_VL) == (1, 0)
     busy = [0, 5] + [0] * 4  # input 1 stays busy until t = 5
@@ -122,11 +122,11 @@ _KEYS = st.tuples(st.integers(0, 5), st.integers(0, 2))
 def test_arbiter_matches_sorted_scan_reference(heads, last, t, in_busy, credits, vrow):
     # heads arrive as an unsorted dict, like an output's pending heads; each
     # packet's SL picks its output VL through its input's vrow entry
-    pend = {key: [0, 0, sl, "tc"] for key, sl in heads}
+    pend = {key: (0, sl) for key, sl in heads}
 
     def eligible(key):
         ip = key[0]
-        return in_busy[ip] <= t and credits[vrow[ip][pend[key][2]]] > 0
+        return in_busy[ip] <= t and credits[vrow[ip][pend[key][1]]] > 0
 
     expected = sorted_scan_arbiter(None if last == NO_GRANT else last, pend, eligible)
     assert arbitrate_output(last, pend, t, in_busy, credits, vrow) == expected
@@ -204,7 +204,8 @@ def test_end_state_is_pinned(key):
 
 _BROKEN_PROTOCOL = """
 import sys
-from dflysim import DragonflyParams, InvariantViolation, UniformTraffic, build_topology, synthesize
+from dflysim import (DragonflyParams, InvariantViolation, UniformTraffic, build_topology,
+                     emit_fabric_dump, parse_fabric_dump, synthesize)
 from dflysim.simulator import SimConfig, _FabricSim
 
 topo = build_topology(DragonflyParams(2, 1, 1))
@@ -237,6 +238,18 @@ broken("switch-credits", s)
 s = fresh(0.1)  # one HCA credit too many; sparse sends let it come back before an overflow
 s.hca_credit[:] = [c + 1 for c in s.hca_credit]
 broken("hca-credits", s)
+
+# a doctored dla table: VL 1 on a terminal output entered from a global input,
+# first on SL 0 (in use), then only on SL 3 (no packet carries it)
+turn = "sl2vl out 0 in 2: "
+dump = emit_fabric_dump(routing)
+for name, vls in (("vl-shift-sl0", "1" + " 0" * 15), ("vl-shift-sl3", "0 0 0 1" + " 0" * 12)):
+    doctored = parse_fabric_dump(dump.replace(turn + "0" + " 0" * 15, turn + vls, 1))
+    try:
+        SimConfig(topology=topo, routing=doctored, pattern=UniformTraffic())
+        print(name, "builds")
+    except InvariantViolation as exc:
+        print(name, "optimize", sys.flags.optimize, "InvariantViolation:", exc)
 """
 
 
@@ -250,6 +263,9 @@ def test_broken_credit_protocol_raises_typed_error_under_python_O():
         "occupancy optimize 1 InvariantViolation: VL buffer overflow: credit protocol broken",
         "switch-credits optimize 1 InvariantViolation: credit over-return",
         "hca-credits optimize 1 InvariantViolation: HCA credit over-return",
+        "vl-shift-sl0 optimize 1 InvariantViolation: "
+        "VL 1 is only legal on a local channel right after a global hop",
+        "vl-shift-sl3 builds",
     ]
 
 
@@ -374,18 +390,21 @@ def test_hotspot_excludes_victims_from_metric():
 
 def test_cyclic_config_deadlocks_under_pressure():
     """The shift-disabled variant has a cyclic dependency graph; with minimal
-    buffering at full load a stall manifests and is reported as an error."""
-    seeds_tried = []
-    for seed in range(1, 6):
+    buffering at full load a stall manifests and is reported as an error.
+
+    The backlog in the message pins the moment of the check that fires. The
+    stall check runs at warm-up's end and then once per 1 ms horizon; this
+    fabric stops delivering before 0.1 ms, so it is caught at 1.1 ms, and at
+    2 ms without warm-up, whose first check at 0 ms precedes every delivery.
+    """
+    for warmup_s, outstanding in ((0.1e-3, 76916), (0.0, 140204)):
         cfg = _config(engine="dla-noshift", voq=False, buffer_depth=1,
-                      offered_load=1.0, seed=seed,
-                      warmup_s=0.1e-3, measure_s=3e-3)
-        seeds_tried.append(seed)
-        try:
+                      offered_load=1.0, seed=1,
+                      warmup_s=warmup_s, measure_s=3e-3)
+        with pytest.raises(DeadlockDetected) as exc:
             run_sim(cfg)
-        except DeadlockDetected:
-            return
-    pytest.fail(f"no stall manifested on seeds {seeds_tried}")
+        assert str(exc.value) == ("no delivery for 1.000 ms of simulated time "
+                                  f"with {outstanding} packets outstanding")
 
 
 def test_deadlock_free_config_does_not_trip_watchdog():

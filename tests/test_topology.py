@@ -27,10 +27,15 @@ def test_params_defaults_to_max_groups():
     assert p.radix == 7
 
 
+def _oversubscribed(params):
+    """a = 2h = p: twice the endnodes per switch of a balanced (a = 2h = 2p) fabric."""
+    return params.a == 2 * params.h == params.p
+
+
 def test_params_balanced_and_oversubscribed():
     assert DragonflyParams(4, 2, 2).balanced
-    assert not DragonflyParams(4, 2, 2).oversubscribed
-    assert DragonflyParams(4, 2, 4).oversubscribed
+    assert not _oversubscribed(DragonflyParams(4, 2, 2))
+    assert _oversubscribed(DragonflyParams(4, 2, 4))
     assert not DragonflyParams(3, 3, 2).balanced
 
 
