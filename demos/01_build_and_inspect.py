@@ -12,7 +12,7 @@ for shape in ("1,1,1,2", "4,2,2", "3,3,2,7", "10,5,5"):
     topo = build_topology(params)
     print(f"{params.label():14s} endnodes={params.num_endnodes:<5d} "
           f"switches={params.num_switches:<4d} radix={params.radix:<3d} "
-          f"balanced={params.balanced}")
+          f"balanced={params.a == 2 * params.h == 2 * params.p}")
 
 print()
 print("Channel mix of the 72-endnode reference fabric (a=4, h=2, p=2):")

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure (or failed sweep rows),
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -88,8 +89,6 @@ def cmd_plot_data(args) -> int:
     try:
         for path in args.files:
             if path.endswith(".json"):
-                import json
-
                 with open(path) as fh:
                     doc = json.load(fh)
                 row = doc["row"]

@@ -17,8 +17,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import (InvariantViolation, MalformedDump, NotADragonfly, UnsupportedParams,
-                     UnsupportedTopology)
+from .errors import (InvariantViolation, MalformedDump, NotADragonfly, RoutingLoop,
+                     UnsupportedParams, UnsupportedTopology)
 from .topology import GLOBAL, LOCAL, DragonflyParams, Topology, build_topology
 
 MAX_SLS = 16
@@ -143,9 +143,9 @@ def discover_groups(graph) -> GroupAssignment:
     """Recover the group partition from the raw switch graph.
 
     Groups are the maximal mutually-adjacent sets (closed-neighborhood
-    cliques). Raises NotADragonfly when no clique size tiles the graph into a
-    valid grouping, or when more than one size does (ambiguous decomposition).
-    A complete switch graph is ambiguous except for the 2-switch fabric.
+    cliques). When several clique sizes tile the graph into a valid grouping,
+    the largest wins. Raises NotADragonfly when no size does, and for a
+    complete switch graph other than the 2-switch fabric (ambiguous).
     """
     adj = _as_switch_graph(graph)
     if not adj:
@@ -372,8 +372,6 @@ def route_walk(topology: Topology, config: RoutingConfig, src: int, dst: int):
     re-assigns the VL through its SL2VL table. Raises RoutingLoop if the LFT
     does not deliver within num_switches hops.
     """
-    from .errors import RoutingLoop
-
     check_shape(topology, config)
     cur = topology.switch_of(src)
     sl = config.sl(cur, topology.switch_of(dst))

@@ -22,8 +22,10 @@ Model highlights:
   delivered tails inside the measurement window only.
 * A packet is an immutable (destination, SL) pair. SimConfig checks the dla
   VL-shift rule on the tables once, so no grant re-checks it.
+* An HCA always accepts, so a delivery is counted at the grant onto its last
+  link, at the landing time that grant fixes; no event marks the landing.
 * The stall check is a deadline, not an event: it runs before the events of
-  the first time at or after it is due.
+  the first time at or after it is due, and reads the deliveries granted so far.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ _E_HCA = 1       # HCA a: b credits (0 or 1) come back, then try to inject
 _E_ENQ = 2
 _E_ARB = 3       # switch a, output b: a credit on VL c comes back if c >= 0, then arbitrate
 _E_RELEASE = 4
-_E_DELIVER = 5
 
 
 def check_run_params(buffer_depth, data_vls, warmup_s, measure_s, loads):
@@ -299,6 +300,7 @@ class _FabricSim:
 
         def arb(s, op, pend, t):
             """Arbitrate idle output op of switch s over its non-empty `pend`."""
+            nonlocal delivered, in_fabric, last_delivery, max_warm_gap
             vrow = sl2vl[s][op]
             cred = credits[s][op]
             busy = in_busy[s]
@@ -337,8 +339,18 @@ class _FabricSim:
 
             down = ports[op]
             if down[0] == "h":
-                at(t + _LINK_PS + PACKET_PS, (_E_DELIVER, down[1], 0, -1, None))
-                at(t + _LINK_PS + PACKET_PS + _CREDIT_PS, (_E_ARB, s, op, ovl, None))
+                # an HCA always accepts, so this grant fixes the landing time td;
+                # a packet landing at or after the window's end stays in the fabric
+                td = t + _LINK_PS + PACKET_PS
+                if td < end:
+                    delivered += 1
+                    in_fabric -= 1
+                    if td >= warm:
+                        measured_by_dst[down[1]] += 1
+                    elif td - last_delivery > max_warm_gap:
+                        max_warm_gap = td - last_delivery
+                    last_delivery = td
+                at(td + _CREDIT_PS, (_E_ARB, s, op, ovl, None))
             else:
                 at(t + _LINK_PS + _PIPE_PS, (_E_ENQ, down[1], down[2], ovl, pkt))
 
@@ -396,14 +408,6 @@ class _FabricSim:
                         pend = pend_s[op]
                         if pend and op != b and busy[op] <= t:
                             arb(a, op, pend, t)
-                elif code == _E_DELIVER:
-                    delivered += 1
-                    in_fabric -= 1
-                    if t >= warm:
-                        measured_by_dst[a] += 1
-                    elif t - last_delivery > max_warm_gap:
-                        max_warm_gap = t - last_delivery
-                    last_delivery = t
                 elif code == _E_HCA:
                     hca_credit[a] += b
                     if hca_credit[a] > depth:

@@ -62,10 +62,6 @@ class DragonflyParams:
     def radix(self) -> int:
         return self.p + (self.a - 1) + self.h
 
-    @property
-    def balanced(self) -> bool:
-        return self.a == 2 * self.h == 2 * self.p
-
     @classmethod
     def parse(cls, text: str) -> "DragonflyParams":
         """Parse 'a,h,p' or 'a,h,p,g' as used by the command line."""

@@ -393,13 +393,20 @@ def test_cyclic_config_deadlocks_under_pressure():
     buffering at full load a stall manifests and is reported as an error.
 
     The backlog in the message pins the moment of the check that fires. The
-    stall check runs at warm-up's end and then once per 1 ms horizon; this
-    fabric stops delivering before 0.1 ms, so it is caught at 1.1 ms, and at
-    2 ms without warm-up, whose first check at 0 ms precedes every delivery.
+    stall check runs at warm-up's end and then once per 1 ms horizon; these
+    fabrics stop delivering before 0.1 ms, so a stall is caught at 1.1 ms
+    with 0.1 ms of warm-up, at 2 ms without warm-up, whose first check at
+    0 ms precedes every delivery, and at 2.02 ms with 0.02 ms of warm-up,
+    where the fabric still delivers after the first check.
     """
-    for warmup_s, outstanding in ((0.1e-3, 76916), (0.0, 140204)):
-        cfg = _config(engine="dla-noshift", voq=False, buffer_depth=1,
-                      offered_load=1.0, seed=1,
+    for voq, buffer_depth, seed, warmup_s, outstanding in (
+            (False, 1, 1, 0.1e-3, 76916),
+            (False, 1, 1, 0.0, 140204),
+            (False, 2, 2, 0.1e-3, 76644),
+            (True, 2, 3, 0.0, 137858),
+            (False, 1, 4, 0.02e-3, 141344)):
+        cfg = _config(engine="dla-noshift", voq=voq, buffer_depth=buffer_depth,
+                      offered_load=1.0, seed=seed,
                       warmup_s=warmup_s, measure_s=3e-3)
         with pytest.raises(DeadlockDetected) as exc:
             run_sim(cfg)
