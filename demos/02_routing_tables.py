@@ -16,9 +16,9 @@ from dflysim.routing import route_walk
 params = DragonflyParams(4, 2, 2)
 topo = build_topology(params)
 
-groups = discover_groups(topo)
-print(f"group discovery from the bare switch graph: {len(groups.groups)} groups "
-      f"of {groups.size} (first two: {groups.groups[0]}, {groups.groups[1]})")
+groups = discover_groups(topo)  # switch -> group, numbered by smallest switch
+print(f"group discovery from the bare switch graph: {max(groups) + 1} groups "
+      f"of {groups.count(0)} (switch -> group: {groups[:10]} ...)")
 print()
 
 for engine in ("dla", "d3r", "updn"):

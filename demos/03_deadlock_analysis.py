@@ -5,7 +5,7 @@ graph: vertices are (directed channel, VL) pairs, edges are consecutive
 occupancies. No directed cycle means no packet can ever wait on itself.
 """
 
-from dflysim import DragonflyParams, build_cdg, build_topology, check_deadlock_free, route_dla, synthesize
+from dflysim import DragonflyParams, build_cdg, build_topology, check_deadlock_free, synthesize
 
 params = DragonflyParams(4, 2, 2)
 topo = build_topology(params)
@@ -21,7 +21,7 @@ for engine in ("dla", "d3r", "updn"):
 print()
 print("Suppressing the dla VL shift leaves local->global->local dependencies")
 print("on one lane, and a cycle appears:")
-config = route_dla(topo, vl_shift=False)
+config = synthesize(topo, "dla", vl_shift=False)
 report = check_deadlock_free(build_cdg(topo, config))
 assert not report.acyclic
 print(report.describe(topo))

@@ -5,7 +5,7 @@ Short windows keep this demo under half a minute; the shipped manifest
 normalized to the link rate and measured after warm-up only.
 """
 
-from dflysim import DeadlockDetected, DragonflyParams, UniformTraffic, build_topology, route_dla, synthesize
+from dflysim import DeadlockDetected, DragonflyParams, UniformTraffic, build_topology, synthesize
 from dflysim.simulator import SimConfig, run_sim, sweep
 
 params = DragonflyParams(4, 2, 2)
@@ -35,7 +35,7 @@ print()
 print("A configuration with cyclic channel dependencies does not just run")
 print("slowly, it can stop. The dla variant without its VL shift, minimal")
 print("buffering, full load:")
-bad = route_dla(topo, vl_shift=False)
+bad = synthesize(topo, "dla", vl_shift=False)
 config = SimConfig(topology=topo, routing=bad, pattern=UniformTraffic(),
                    offered_load=1.0, voq=False, buffer_depth=1, seed=1,
                    warmup_s=0.1e-3, measure_s=3e-3)

@@ -32,14 +32,10 @@ from .topology import (
     channel_kind,
 )
 from .routing import (
-    GroupAssignment,
     RoutingConfig,
     discover_groups,
     emit_fabric_dump,
     parse_fabric_dump,
-    route_d3r,
-    route_dla,
-    route_updn,
     synthesize,
 )
 from .deadlock import (
@@ -62,7 +58,6 @@ __all__ = [
     "DragonflyParams",
     "FlowCounts",
     "GLOBAL",
-    "GroupAssignment",
     "HotspotTraffic",
     "InvalidParams",
     "InvariantViolation",
@@ -91,9 +86,6 @@ __all__ = [
     "emit_fabric_dump",
     "make_pattern",
     "parse_fabric_dump",
-    "route_d3r",
-    "route_dla",
-    "route_updn",
     "run_sim",
     "sweep",
     "synthesize",

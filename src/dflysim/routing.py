@@ -8,14 +8,15 @@ Three deterministic deadlock-free engines are synthesized from the topology:
          destination-group order, selected via the packet SL (2 SLs, 2 VLs).
 * updn — spanning-tree up*/down* routing, topology agnostic (1 SL, 1 VL).
 
-Group structure is rediscovered from the bare switch graph (closed
-neighborhoods / maximal cliques) rather than trusted from the builder.
+`synthesize` builds any engine's tables by name; `ENGINES` holds what differs
+between them. Group structure is rediscovered from the bare switch graph
+(closed neighborhoods / maximal cliques) rather than trusted from the builder.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (InvariantViolation, MalformedDump, NotADragonfly, RoutingLoop,
                      UnsupportedParams, UnsupportedTopology)
@@ -29,32 +30,22 @@ _INF = float("inf")
 # group discovery
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupAssignment:
-    """Partition of switches into groups, labeled by smallest member id."""
+# A grouping is a tuple: switch -> group, with the groups numbered in the order
+# of their smallest switch.
 
-    groups: tuple[tuple[int, ...], ...]
-    group_of: dict[int, int] = field(compare=False)
+def _relabel(groups) -> tuple[int, ...]:
+    """Number the groups of a switch -> group sequence in the order of their smallest switch."""
+    first: dict = {}
+    return tuple(first.setdefault(g, len(first)) for g in groups)
 
-    @classmethod
-    def from_groups(cls, groups) -> "GroupAssignment":
-        ordered = tuple(tuple(sorted(g)) for g in sorted(groups, key=min))
-        return cls(
-            groups=ordered,
-            group_of={v: i for i, grp in enumerate(ordered) for v in grp},
-        )
 
-    @classmethod
-    def from_topology(cls, topology: Topology) -> "GroupAssignment":
-        """Ground-truth grouping as built (bypasses discovery)."""
-        a = topology.params.a
-        return cls.from_groups(
-            [list(range(g * a, g * a + a)) for g in range(topology.params.g)]
-        )
-
-    @property
-    def size(self) -> int:
-        return len(self.groups[0])
+def _joins_every_pair(group: tuple[int, ...], links) -> bool:
+    """True when the grouping has two groups or more and the (switch, switch) links
+    join every pair of them."""
+    g = max(group) + 1
+    joined = {(ga, gb) if ga < gb else (gb, ga)
+              for ga, gb in ((group[u], group[v]) for u, v in links) if ga != gb}
+    return g > 1 and len(joined) == g * (g - 1) // 2
 
 
 def _as_switch_graph(graph) -> dict[int, frozenset[int]]:
@@ -124,37 +115,26 @@ def _partition_into(vertices, by_vertex):
             idx += 1
 
 
-def _valid_grouping(adj, groups) -> bool:
-    """Every pair of groups must be joined by at least one channel."""
-    if len(groups) < 2:
-        return False
-    gid = {v: i for i, grp in enumerate(groups) for v in grp}
-    seen = set()
-    for v in adj:
-        for u in adj[v]:
-            a, b = gid[v], gid[u]
-            if a != b:
-                seen.add((a, b) if a < b else (b, a))
-    g = len(groups)
-    return len(seen) == g * (g - 1) // 2
-
-
-def discover_groups(graph) -> GroupAssignment:
-    """Recover the group partition from the raw switch graph.
+def discover_groups(graph) -> tuple[int, ...]:
+    """Recover the grouping (switch -> group) from the raw switch graph.
 
     Groups are the maximal mutually-adjacent sets (closed-neighborhood
-    cliques). When several clique sizes tile the graph into a valid grouping,
-    the largest wins. Raises NotADragonfly when no size does, and for a
-    complete switch graph other than the 2-switch fabric (ambiguous).
+    cliques). When several clique sizes tile the graph into groups with a
+    channel between every two of them, the largest wins. Raises NotADragonfly
+    when no size does, when the switch ids are not 0..n-1, and for a complete
+    switch graph other than the 2-switch fabric (ambiguous).
     """
     adj = _as_switch_graph(graph)
     if not adj:
         raise NotADragonfly("empty switch graph")
-    vertices = sorted(adj)
-    n = len(vertices)
+    n = len(adj)
+    vertices = range(n)
+    ids = set(vertices)
+    if set(adj) != ids or any(not ns <= ids for ns in adj.values()):
+        raise NotADragonfly(f"switch ids must be 0..{n - 1}")
     if all(len(adj[v]) == n - 1 for v in vertices):
         if n == 2:
-            return GroupAssignment.from_groups([[vertices[0]], [vertices[1]]])
+            return (0, 1)
         raise NotADragonfly(
             "complete switch graph: single-group and one-switch-per-group "
             "interpretations are indistinguishable"
@@ -181,8 +161,11 @@ def discover_groups(graph) -> GroupAssignment:
         for v in by_vertex:
             by_vertex[v].sort()
         part = _partition_into(vertices, by_vertex)
-        if part is not None and _valid_grouping(adj, part):
-            return GroupAssignment.from_groups(part)
+        if part is not None:
+            label = {v: i for i, grp in enumerate(part) for v in grp}
+            group = _relabel(label[v] for v in vertices)
+            if _joins_every_pair(group, ((v, u) for v in adj for u in adj[v])):
+                return group
     raise NotADragonfly("no clique partition yields a valid grouping")
 
 
@@ -191,7 +174,7 @@ def discover_groups(graph) -> GroupAssignment:
 # ---------------------------------------------------------------------------
 
 _ZERO_ROW = (0,) * MAX_SLS
-_ONE_ROW = (1,) * MAX_SLS
+_VL_ROWS = (_ZERO_ROW, (1,) * MAX_SLS)  # every SL to VL 0, every SL to VL 1
 _IDENTITY2_ROW = tuple(sl if sl < 2 else 0 for sl in range(MAX_SLS))
 
 
@@ -280,28 +263,44 @@ def check_vl_shift(topology: Topology, config: RoutingConfig) -> None:
 # shared synthesis helpers
 # ---------------------------------------------------------------------------
 
-def _require_fully_connected(topology: Topology, assign: GroupAssignment):
+def _minimal_groups(topology: Topology, groups: tuple[int, ...] | None) -> tuple[int, ...]:
+    """The grouping that minimal routes follow, checked against the wiring.
+
+    `groups` is relabeled. Without it the grouping is rediscovered from the raw
+    switch graph, falling back to the builder's grouping for the corner fabrics
+    where the graph alone is ambiguous (complete switch graphs, e.g.
+    single-switch groups with g >= 3). Raises UnsupportedTopology unless the
+    grouping covers the topology's switches, local channels join each group's
+    switches pairwise, and a global channel joins every pair of groups.
+    """
+    if groups is not None:
+        group = _relabel(groups)
+    else:
+        try:
+            group = discover_groups(topology)
+        except NotADragonfly:
+            group = tuple(topology.switch_group)
+    S = topology.num_switches
+    if len(group) != S:
+        raise UnsupportedTopology(
+            f"a grouping of {len(group)} switches does not fit a topology of {S} switches")
     adj = topology.switch_adjacency()
-    for grp in assign.groups:
+    members: list[list[int]] = [[] for _ in range(max(group) + 1)]
+    for s, g in enumerate(group):
+        members[g].append(s)
+    for grp in members:
         for i, si in enumerate(grp):
             for sj in grp[i + 1:]:
-                ports = adj[si].get(sj, [])
-                if not any(topology.port_kind(pt) == LOCAL for pt in ports):
+                if not any(topology.port_kind(pt) == LOCAL for pt in adj[si].get(sj, ())):
                     raise UnsupportedTopology(
-                        f"switches {si} and {sj} share a group but no local channel"
-                    )
-    pair_seen = set()
-    for s in range(topology.num_switches):
-        for _, peer_sw, _ in topology.global_ports(s):
-            ga, gb = assign.group_of[s], assign.group_of[peer_sw]
-            if ga != gb:
-                pair_seen.add((min(ga, gb), max(ga, gb)))
-    g = len(assign.groups)
-    if len(pair_seen) != g * (g - 1) // 2:
+                        f"switches {si} and {sj} share a group but no local channel")
+    if not _joins_every_pair(group, ((s, peer) for s in range(S)
+                                     for _, peer, _ in topology.global_ports(s))):
         raise UnsupportedTopology("some group pair lacks a global channel")
+    return group
 
 
-def _minimal_next_port(topology: Topology, assign: GroupAssignment):
+def _minimal_next_port(topology: Topology, gid: tuple[int, ...]):
     """Switch-level next-output-port table for minimal Dragonfly routing.
 
     Route shape: optional local hop to the switch owning the global channel,
@@ -309,7 +308,6 @@ def _minimal_next_port(topology: Topology, assign: GroupAssignment):
     Ties (parallel global channels) go to the lowest (switch id, port).
     """
     S = topology.num_switches
-    gid = assign.group_of
     # per switch: destination group -> lowest egress port
     egress: list[dict[int, int]] = [{} for _ in range(S)]
     # per group pair: lowest switch in src group owning a cable to dst group
@@ -395,62 +393,9 @@ def route_walk(topology: Topology, config: RoutingConfig, src: int, dst: int):
 # engines
 # ---------------------------------------------------------------------------
 
-def _groups_for(topology: Topology) -> GroupAssignment:
-    """Rediscover groups from the raw switch graph; fall back to the builder's
-    grouping for the corner fabrics where the graph alone is ambiguous
-    (complete switch graphs, e.g. single-switch groups with g >= 3)."""
-    try:
-        return discover_groups(topology)
-    except NotADragonfly:
-        return GroupAssignment.from_topology(topology)
-
-
-def route_dla(topology: Topology, groups: GroupAssignment | None = None,
-              vl_shift: bool = True) -> RoutingConfig:
-    """Minimal Dragonfly routing with the one-shot VL shift.
-
-    Every SL takes the VL that `_dla_vl` gives its turn: VL 1 exactly when the
-    output port is a local channel and the input port is a global channel,
-    VL 0 otherwise. `vl_shift=False` builds the diagnostic variant with the shift
-    suppressed (known to leave cyclic dependencies).
-    """
-    assign = groups if groups is not None else _groups_for(topology)
-    _require_fully_connected(topology, assign)
-    np_table = _minimal_next_port(topology, assign)
-
-    rows = (_ZERO_ROW, _ONE_ROW if vl_shift else _ZERO_ROW)
-    return RoutingConfig(
-        engine="dla",
-        lft=_expand_lft(topology, np_table),
-        sl2vl=_kind_tables(topology, lambda op_kind, ip_kind: rows[_dla_vl(op_kind, ip_kind)]),
-        sl_groups=(0,) * topology.num_switches,
-        vl_shift_disabled=not vl_shift,
-    )
-
-
-def route_d3r(topology: Topology, groups: GroupAssignment | None = None) -> RoutingConfig:
-    """Group-minimal routing with one VL per route, ordered by destination group.
-
-    Each route keeps a single VL for its whole length: the HCA tags packets
-    with SL 0 (destination group id >= source's) or SL 1, and every switch
-    output port maps SL i to VL i.
-    """
-    assign = groups if groups is not None else _groups_for(topology)
-    _require_fully_connected(topology, assign)
-    np_table = _minimal_next_port(topology, assign)
-
-    return RoutingConfig(
-        engine="d3r",
-        lft=_expand_lft(topology, np_table),
-        sl2vl=_kind_tables(topology, lambda op_kind, ip_kind: _IDENTITY2_ROW),
-        sl_groups=tuple(assign.group_of[s] for s in range(topology.num_switches)),
-    )
-
-
-def route_updn(topology: Topology, groups: GroupAssignment | None = None) -> RoutingConfig:
-    """Up*/down* routing on a BFS spanning tree rooted at the lowest switch id.
-
-    `groups` is ignored: up*/down* needs no group structure.
+def _updn_next_port(topology: Topology):
+    """Switch-level next-output-port table for up*/down* routing on a BFS
+    spanning tree rooted at the lowest switch id.
 
     Links are oriented by (tree level, switch id); a route may climb zero or
     more up channels, then descend zero or more down channels, and never turns
@@ -502,37 +447,46 @@ def route_updn(topology: Topology, groups: GroupAssignment | None = None) -> Rou
                 cost, nh = min((r[u] + 1, u) for u in up_nbrs[v])
                 r[v] = cost
             np_table[v][d] = min(adj[v][nh])
-
-    return RoutingConfig(
-        engine="updn",
-        lft=_expand_lft(topology, np_table),
-        sl2vl=_kind_tables(topology, lambda op_kind, ip_kind: _ZERO_ROW),
-        sl_groups=(0,) * topology.num_switches,
-    )
+    return np_table
 
 
+# What differs between engines: (minimal Dragonfly routes, else up*/down*;
+# the SL follows the group order; the SL2VL row for each (out kind, in kind) turn).
 ENGINES = {
-    "dla": route_dla,
-    "d3r": route_d3r,
-    "updn": route_updn,
+    "dla": (True, False, lambda out_kind, in_kind: _VL_ROWS[_dla_vl(out_kind, in_kind)]),
+    "d3r": (True, True, lambda out_kind, in_kind: _IDENTITY2_ROW),
+    "updn": (False, False, lambda out_kind, in_kind: _ZERO_ROW),
 }
 
 
-def synthesize(topology: Topology, engine: str,
-               groups: GroupAssignment | None = None,
+def synthesize(topology: Topology, engine: str, groups: tuple[int, ...] | None = None,
                vl_shift: bool = True) -> RoutingConfig:
     """Build the routing configuration for one engine by name.
 
-    `vl_shift=False` selects the shift-disabled dla variant; other engines
-    have no VL shift and raise UnsupportedParams for it.
+    The minimal engines route on `groups`, a switch -> group tuple that is
+    relabeled and checked, or else on the grouping they rediscover; both raise
+    UnsupportedTopology for a grouping the wiring does not bear out. updn needs
+    no groups and ignores them. `vl_shift=False` selects the shift-disabled dla
+    variant, VL 0 on every turn (known to leave cyclic dependencies); other
+    engines have no VL shift and raise UnsupportedParams for it.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r} (expected one of {sorted(ENGINES)})")
-    if vl_shift:
-        return ENGINES[engine](topology, groups)
-    if engine != "dla":
+    if not vl_shift and engine != "dla":
         raise UnsupportedParams(f"engine {engine!r} has no VL shift to disable")
-    return route_dla(topology, groups, vl_shift=False)
+    minimal, group_sls, vl_row = ENGINES[engine]
+    if minimal:
+        group = _minimal_groups(topology, groups)
+        np_table = _minimal_next_port(topology, group)
+    else:
+        np_table = _updn_next_port(topology)
+    return RoutingConfig(
+        engine=engine,
+        lft=_expand_lft(topology, np_table),
+        sl2vl=_kind_tables(topology, vl_row if vl_shift else lambda out_kind, in_kind: _ZERO_ROW),
+        sl_groups=group if group_sls else (0,) * topology.num_switches,
+        vl_shift_disabled=not vl_shift,
+    )
 
 
 def vls_needed(engine: str, params: DragonflyParams) -> int:

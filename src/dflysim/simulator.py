@@ -72,7 +72,7 @@ def check_run_params(buffer_depth, data_vls, warmup_s, measure_s, loads):
         raise InvalidParams("buffer must hold at least one packet per VL")
     if not 1 <= data_vls <= 15:
         raise InvalidParams("data_vls must be in 1..15")
-    if not 0 <= warmup_s < math.inf:
+    if not 0 <= warmup_s * _PS < math.inf:
         raise InvalidParams("warm-up must be finite and not negative")
     if not 1 <= measure_s * _PS < math.inf:
         raise InvalidParams("measurement window must be finite and at least 1 ps")

@@ -9,7 +9,7 @@ from collections import Counter, deque
 
 from dflysim.deadlock import ChannelDependencyGraph, DeadlockReport
 from dflysim.routing import route_walk
-from dflysim.topology import Topology
+from dflysim.topology import GLOBAL, Topology
 
 
 def canonical_route_channels(topo: Topology, src: int, dst: int) -> list[int]:
@@ -258,6 +258,48 @@ def legal_updn_distance(adj, rank, src_sw: int, dst_sw: int) -> float:
                     best = min(best, d + 1)
                 dq.append(state)
     return best
+
+
+def channel_numbering(topo: Topology, config):
+    """The deadlock-freedom certificate of config's engine: a rank per CDG vertex.
+
+    Dally & Seitz (IEEE Trans. Comput. 1987): when every dependency climbs the
+    numbering strictly, the CDG is acyclic. Injection channels rank lowest and
+    delivery channels highest; a fabric channel (VL, kind, source switch s) ranks
+      dla  (VL, 0 for local or 1 for global), the VL-shift argument of Kim,
+           Dally, Scott & Abts (ISCA 2008);
+      d3r  (VL, +-2g + [global]) with g = sl_groups[s], + on VL 0 (routes climb
+           the group order) and - on VL 1 (routes descend it);
+      updn up channels first by decreasing (level, switch) of s, then down
+           channels by increasing (level, switch) of s (Autonet, Schroeder et
+           al., IEEE JSAC 1991), with levels re-derived by BFS here.
+    """
+    _, switch_rank = updn_rank_fn(topo)
+
+    def rank(vertex):
+        cid, vl = vertex
+        ch = topo.channels[cid]
+        if ch.src[0] == "h":
+            return (0,)
+        if ch.dst[0] == "h":
+            return (2,)
+        s, is_global = ch.src[1], int(ch.kind == GLOBAL)
+        if config.engine == "dla":
+            return (1, vl, is_global)
+        if config.engine == "d3r":
+            g = config.sl_groups[s]
+            return (1, vl, (2 * g if vl == 0 else -2 * g) + is_global)
+        level, sw = switch_rank(s)
+        if switch_rank(ch.dst[1]) < (level, sw):  # an up channel
+            return (1, 0, -level, -sw)
+        return (1, 1, level, sw)
+
+    return rank
+
+
+def descending_edges(cdg: ChannelDependencyGraph, rank) -> list:
+    """CDG edges that do not climb the numbering strictly."""
+    return [(u, v) for u, vs in cdg.succ.items() for v in vs if not rank(u) < rank(v)]
 
 
 def all_simple_cycles_exist(vertices, succ) -> bool:

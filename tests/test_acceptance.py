@@ -21,7 +21,6 @@ from dflysim import (
     build_cdg,
     build_topology,
     check_deadlock_free,
-    route_dla,
     synthesize,
 )
 from dflysim.manifest import parse_manifest, run_manifest
@@ -86,7 +85,7 @@ def test_criterion_2_deadlock_freedom_suite():
             assert report.acyclic, f"{engine} on a{a}h{h}p{p}"
 
     topo = build_topology(DragonflyParams(4, 2, 2))
-    config = route_dla(topo, vl_shift=False)
+    config = synthesize(topo, "dla", vl_shift=False)
     cdg = build_cdg(topo, config)
     report = check_deadlock_free(cdg)
     assert not report.acyclic

@@ -232,6 +232,7 @@ def test_sweep_honors_env_output_dir(tmp_path, monkeypatch, capsys):
     ("pattern=uniform", "pattern=hotspot\nhotspot_fraction=x"),
     ("pattern=uniform", "pattern=stencil3d\nstencil_dims=2,x,1"),
     ("warmup_ms=0.05", "warmup_ms=inf"),
+    ("warmup_ms=0.05", "warmup_ms=1e300"),  # finite, but not in picoseconds
     ("measure_ms=0.2", "measure_ms=inf"),
     ("pattern=uniform", "pattern=hotspot\nhotspot_fraction=nan"),
     ("pattern=uniform", "pattern=hotspot\nhotspot_fraction=5"),

@@ -13,7 +13,6 @@ from dflysim import (
     check_deadlock_free,
     emit_fabric_dump,
     parse_fabric_dump,
-    route_dla,
     synthesize,
 )
 from dflysim.deadlock import ChannelDependencyGraph, _cycle_core
@@ -23,7 +22,9 @@ from dflysim.topology import TERMINAL
 from oracles import (
     all_simple_cycles_exist,
     brute_force_cdg,
+    channel_numbering,
     cycle_core_reference,
+    descending_edges,
     tarjan_deadlock_report,
 )
 
@@ -98,13 +99,13 @@ def test_cycle_check_matches_tarjan_reference(cdg):
 
 def test_dla_reference_fabric_is_deadlock_free():
     topo = build_topology(DragonflyParams(4, 2, 2))
-    cdg = build_cdg(topo, route_dla(topo))
+    cdg = build_cdg(topo, synthesize(topo, "dla"))
     assert check_deadlock_free(cdg).acyclic
 
 
 def test_dla_without_vl_shift_is_cyclic_with_valid_witness():
     topo = build_topology(DragonflyParams(4, 2, 2))
-    cdg = build_cdg(topo, route_dla(topo, vl_shift=False))
+    cdg = build_cdg(topo, synthesize(topo, "dla", vl_shift=False))
     report = check_deadlock_free(cdg)
     assert not report.acyclic
     cycle = report.cycle
@@ -166,9 +167,7 @@ VARIANTS = ["dla", "d3r", "updn", "dla-noshift"]
 
 
 def _config(topo, variant):
-    if variant == "dla-noshift":
-        return route_dla(topo, vl_shift=False)
-    return synthesize(topo, variant)
+    return synthesize(topo, variant.removesuffix("-noshift"), vl_shift=variant != "dla-noshift")
 
 
 def _tiny_params():
@@ -192,11 +191,43 @@ def test_detector_agrees_with_exhaustive_cycle_search(params, variant):
     assert report.acyclic == (not all_simple_cycles_exist(cdg.vertices, cdg.succ))
 
 
+# -- channel-numbering certificates --------------------------------------------
+
+CERTIFIED = [DragonflyParams(4, 2, 2), DragonflyParams(6, 3, 3)]  # 72 and 342 endnodes
+
+
+@pytest.mark.parametrize("params", CERTIFIED, ids=lambda p: p.label())
+@pytest.mark.parametrize("engine", ["dla", "d3r", "updn"])
+def test_every_dependency_climbs_the_engines_channel_numbering(params, engine):
+    """Each engine's closed-form numbering proves its CDG acyclic without the cycle check."""
+    topo = build_topology(params)
+    config = synthesize(topo, engine)
+    cdg = build_cdg(topo, config)
+    assert cdg.num_edges > 0
+    assert descending_edges(cdg, channel_numbering(topo, config)) == []
+
+
+@pytest.mark.parametrize("params", _tiny_params() + CERTIFIED, ids=lambda p: p.label())
+def test_the_dla_numbering_flags_every_cycle_of_shift_disabled_dla(params):
+    """Wherever the cycle check reports a cycle, one of its edges descends the dla
+    numbering. Without the shift the 72- and 342-endnode tables are cyclic."""
+    topo = build_topology(params)
+    config = synthesize(topo, "dla", vl_shift=False)
+    cdg = build_cdg(topo, config)
+    report = check_deadlock_free(cdg)
+    flagged = set(descending_edges(cdg, channel_numbering(topo, config)))
+    cycle = report.cycle
+    assert report.acyclic or any((u, cycle[(i + 1) % len(cycle)]) in flagged
+                                 for i, u in enumerate(cycle))
+    if params in CERTIFIED:
+        assert not report.acyclic
+
+
 # -- VL structure of the dependency graphs -------------------------------------
 
 def test_dla_vl_never_decreases_on_fabric_edges():
     topo = build_topology(DragonflyParams(4, 2, 2))
-    cdg = build_cdg(topo, route_dla(topo))
+    cdg = build_cdg(topo, synthesize(topo, "dla"))
     for (cid_u, vl_u), succs in cdg.succ.items():
         if topo.channels[cid_u].kind == TERMINAL:
             continue
@@ -220,7 +251,7 @@ def test_d3r_layers_are_edge_disjoint_on_fabric():
 
 def test_terminal_channels_are_sources_and_sinks_only():
     topo = build_topology(DragonflyParams(2, 1, 1))
-    cdg = build_cdg(topo, route_dla(topo))
+    cdg = build_cdg(topo, synthesize(topo, "dla"))
     incoming = set()
     for u, succs in cdg.succ.items():
         incoming.update(succs)
@@ -307,7 +338,7 @@ def test_build_cdg_matches_oracle_on_parsed_dump_with_per_switch_tables():
 def _corrupted(how):
     """A 72-endnode dla config with one LFT column broken for destination 50."""
     topo = build_topology(DragonflyParams(4, 2, 2))
-    config = route_dla(topo)
+    config = synthesize(topo, "dla")
     dst = 50
     dsw = topo.switch_of(dst)  # switch 25, group 6
     if how == "cycle":             # switches 4 and 5 (group 1) bounce packets for dst

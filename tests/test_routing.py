@@ -13,12 +13,9 @@ from dflysim import (
     discover_groups,
     emit_fabric_dump,
     parse_fabric_dump,
-    route_d3r,
-    route_dla,
-    route_updn,
     synthesize,
 )
-from dflysim.routing import ENGINES, GroupAssignment, route_walk, vls_needed
+from dflysim.routing import ENGINES, route_walk, vls_needed
 from dflysim.topology import GLOBAL, LOCAL, TERMINAL
 
 from oracles import (
@@ -36,9 +33,9 @@ def _erased(topo):
     return {s: set(nbrs) for s, nbrs in topo.switch_adjacency().items()}
 
 
-def _same_partition(found, truth):
-    """True when both assignments induce the same partition (labels may differ)."""
-    return set(found.groups) == set(truth.groups)
+def _partition(grouping):
+    """The set of groups, each a frozenset of switches, that a grouping induces."""
+    return {frozenset(s for s, g in enumerate(grouping) if g == label) for label in grouping}
 
 
 # -- group discovery ---------------------------------------------------------
@@ -46,15 +43,22 @@ def _same_partition(found, truth):
 def test_discovery_recovers_reference_topology():
     topo = build_topology(DragonflyParams(4, 2, 2, 9))
     found = discover_groups(_erased(topo))
-    assert len(found.groups) == 9
-    assert all(len(g) == 4 for g in found.groups)
-    assert _same_partition(found, GroupAssignment.from_topology(topo))
+    # nine groups of four, numbered in the order of their smallest switch as the builder does
+    assert found == tuple(topo.switch_group)
 
 
 def test_discovery_two_switch_fabric_is_singletons():
     topo = build_topology(DragonflyParams(1, 1, 1, 2))
     found = discover_groups(_erased(topo))
-    assert found.groups == ((0,), (1,))
+    assert found == (0, 1)
+
+
+def test_discovery_rejects_switch_ids_other_than_0_to_n_minus_1():
+    graph = _erased(build_topology(DragonflyParams(2, 1, 1)))
+    with pytest.raises(NotADragonfly, match="switch ids must be 0..5"):
+        discover_groups({s + 10: {u + 10 for u in nbrs} for s, nbrs in graph.items()})
+    with pytest.raises(NotADragonfly, match="switch ids must be 0..5"):
+        discover_groups({**graph, 0: graph[0] | {9}})  # a neighbor that is no switch
 
 
 def test_discovery_rejects_single_group_clique():
@@ -87,8 +91,7 @@ def _discoverable_params(n_max):
 @pytest.mark.parametrize("params", _discoverable_params(100), ids=lambda p: p.label())
 def test_discovery_idempotent_over_builder(params):
     topo = build_topology(params)
-    found = discover_groups(_erased(topo))
-    assert _same_partition(found, GroupAssignment.from_topology(topo))
+    assert discover_groups(_erased(topo)) == tuple(topo.switch_group)
 
 
 def test_discovery_is_label_invariant():
@@ -98,9 +101,8 @@ def test_discovery_is_label_invariant():
     assert len(set(perm.values())) == topo.num_switches
     graph = {perm[s]: {perm[u] for u in nbrs} for s, nbrs in _erased(topo).items()}
     found = discover_groups(graph)
-    truth = GroupAssignment.from_topology(topo)
-    mapped = {frozenset(perm[s] for s in grp) for grp in truth.groups}
-    assert {frozenset(g) for g in found.groups} == mapped
+    mapped = {frozenset(perm[s] for s in grp) for grp in _partition(topo.switch_group)}
+    assert _partition(found) == mapped
 
 
 # -- dla ----------------------------------------------------------------------
@@ -119,7 +121,7 @@ def test_dla_paths_are_minimal(params):
     sanity check (never more than one hop above it).
     """
     topo = build_topology(params)
-    config = route_dla(topo)
+    config = synthesize(topo, "dla")
     adj = switch_adjacency_simple(topo)
     dists = {s: bfs_distances(adj, s) for s in range(topo.num_switches)}
     n = topo.num_endnodes
@@ -137,7 +139,7 @@ def test_dla_paths_are_minimal(params):
 
 def test_dla_route_shape_and_vl_discipline():
     topo = build_topology(DragonflyParams(4, 2, 2))
-    config = route_dla(topo)
+    config = synthesize(topo, "dla")
     n = topo.num_endnodes
     for src in range(0, n, 5):
         for dst in range(n):
@@ -161,7 +163,7 @@ def test_dla_route_shape_and_vl_discipline():
 
 def test_dla_same_switch_route_is_two_terminals():
     topo = build_topology(DragonflyParams(4, 2, 2))
-    config = route_dla(topo)
+    config = synthesize(topo, "dla")
     seq = route_walk(topo, config, 0, 1)  # both attach to switch 0
     assert [ch.kind for ch, _ in seq] == [TERMINAL, TERMINAL]
     assert [vl for _, vl in seq] == [0, 0]
@@ -169,7 +171,7 @@ def test_dla_same_switch_route_is_two_terminals():
 
 def test_dla_sl2vl_function():
     topo = build_topology(DragonflyParams(4, 2, 2))
-    config = route_dla(topo)
+    config = synthesize(topo, "dla")
     tc, lc, gc = 0, 2, 5  # port indices by layout: p=2 terminals, 3 locals, 2 globals
     assert config.sl2vl[0][lc][gc][0] == 1    # local out, global in -> shift
     assert config.sl2vl[0][gc][tc][0] == 0
@@ -183,7 +185,7 @@ def test_dla_sl2vl_function():
 
 def test_dla_shift_disabled_variant():
     topo = build_topology(DragonflyParams(4, 2, 2))
-    config = route_dla(topo, vl_shift=False)
+    config = synthesize(topo, "dla", vl_shift=False)
     assert config.vl_shift_disabled
     assert config.resources == (1, 1)
     assert config.sl2vl[0][2][5][0] == 0
@@ -193,7 +195,7 @@ def test_dla_shift_disabled_variant():
 
 def test_d3r_single_vl_per_route():
     topo = build_topology(DragonflyParams(4, 2, 2))
-    config = route_d3r(topo)
+    config = synthesize(topo, "d3r")
     assert config.resources == (2, 2)
     n = topo.num_endnodes
     for src in range(0, n, 7):
@@ -211,14 +213,14 @@ def test_d3r_single_vl_per_route():
 
 def test_d3r_intra_group_rides_vl0():
     topo = build_topology(DragonflyParams(4, 2, 2))
-    config = route_d3r(topo)
+    config = synthesize(topo, "d3r")
     seq = route_walk(topo, config, 0, 3)  # same group, different switch
     assert all(vl == 0 for _, vl in seq)
 
 
 def test_d3r_sl_policy_by_group_order():
     topo = build_topology(DragonflyParams(4, 2, 2))
-    config = route_d3r(topo)
+    config = synthesize(topo, "d3r")
     lo, hi = 0, 35  # switches of endnodes 0 and 71, in groups 0 and 8
     assert config.sl(lo, hi) == 0
     assert config.sl(hi, lo) == 1
@@ -229,7 +231,7 @@ def test_d3r_sl_policy_by_group_order():
 
 def test_updn_resources_and_two_switch_route():
     topo = build_topology(DragonflyParams(1, 1, 1, 2))
-    config = route_updn(topo)
+    config = synthesize(topo, "updn")
     assert config.resources == (1, 1)
     seq = route_walk(topo, config, 0, 1)
     assert [ch.kind for ch, _ in seq] == [TERMINAL, GLOBAL, TERMINAL]
@@ -244,7 +246,7 @@ def test_updn_resources_and_two_switch_route():
 ], ids=lambda p: p.label())
 def test_updn_routes_are_legal_and_shortest_legal(params):
     topo = build_topology(params)
-    config = route_updn(topo)
+    config = synthesize(topo, "updn")
     adj, rank = updn_rank_fn(topo)
     n = topo.num_endnodes
     for src in range(n):
@@ -266,7 +268,7 @@ def test_updn_routes_are_legal_and_shortest_legal(params):
 
 def test_updn_is_non_minimal_somewhere_on_dragonfly():
     topo = build_topology(DragonflyParams(4, 2, 2))
-    config = route_updn(topo)
+    config = synthesize(topo, "updn")
     adj = switch_adjacency_simple(topo)
     dists = {s: bfs_distances(adj, s) for s in range(topo.num_switches)}
     stretched = 0
@@ -320,14 +322,40 @@ def test_vls_needed_matches_the_synthesized_tables(params):
 def test_minimal_engines_require_fully_connected_grouping():
     # a grouping that pairs switches across the builder's groups has no local
     # channel inside its "groups": the engines must refuse it
-    from dflysim import UnsupportedTopology
-
     topo = build_topology(DragonflyParams(2, 1, 1, 3))
-    bogus = GroupAssignment.from_groups([[0, 2], [1, 4], [3, 5]])
-    with pytest.raises(UnsupportedTopology):
-        route_dla(topo, groups=bogus)
-    with pytest.raises(UnsupportedTopology):
-        route_d3r(topo, groups=bogus)
+    bogus = (0, 1, 0, 2, 1, 2)
+    for engine in ("dla", "d3r"):
+        with pytest.raises(UnsupportedTopology, match="share a group but no local channel"):
+            synthesize(topo, engine, bogus)
+
+
+@pytest.mark.parametrize("engine", ["dla", "d3r"])
+@pytest.mark.parametrize("size", [2, 7])
+def test_minimal_engines_refuse_a_grouping_of_another_switch_count(engine, size):
+    # a grouping of the first two switches once escaped as KeyError 2
+    topo = build_topology(DragonflyParams(2, 1, 1))
+    with pytest.raises(UnsupportedTopology,
+                       match=f"a grouping of {size} switches does not fit a topology of 6"):
+        synthesize(topo, engine, tuple(range(size)))
+
+
+def test_a_grouping_passed_in_is_relabeled_by_smallest_switch():
+    topo = build_topology(DragonflyParams(2, 1, 1, 3))
+    config = synthesize(topo, "d3r", ("x", "x", 7, 7, -1, -1))
+    assert config.sl_groups == (0, 0, 1, 1, 2, 2)
+    assert emit_fabric_dump(config) == emit_fabric_dump(synthesize(topo, "d3r"))
+
+
+def test_updn_neither_discovers_nor_reads_groups(monkeypatch):
+    topo = build_topology(DragonflyParams(2, 1, 1, 3))
+    want = emit_fabric_dump(synthesize(topo, "updn"))
+
+    def no_discovery(graph):
+        raise AssertionError("updn ran group discovery")
+
+    monkeypatch.setattr("dflysim.routing.discover_groups", no_discovery)
+    assert emit_fabric_dump(synthesize(topo, "updn")) == want
+    assert emit_fabric_dump(synthesize(topo, "updn", (0, 1))) == want
 
 
 @pytest.mark.parametrize("engine", ["dla", "d3r", "updn"])
@@ -355,7 +383,7 @@ def test_fabric_dump_round_trips(engine):
 
 def test_fabric_dump_minimal_counts():
     topo = build_topology(DragonflyParams(1, 1, 1, 2))
-    text = emit_fabric_dump(route_dla(topo))
+    text = emit_fabric_dump(synthesize(topo, "dla"))
     lines = text.splitlines()
     assert lines.count("switch 0") == 1 and lines.count("switch 1") == 1
     assert sum(1 for l in lines if l.startswith("lid ")) == 4   # 2 switches x 2 endnodes
@@ -364,7 +392,7 @@ def test_fabric_dump_minimal_counts():
 
 def test_parse_rejects_vl_out_of_range():
     topo = build_topology(DragonflyParams(1, 1, 1, 2))
-    text = emit_fabric_dump(route_dla(topo))
+    text = emit_fabric_dump(synthesize(topo, "dla"))
     bad = text.replace("sl2vl out 0 in 0: 0 0", "sl2vl out 0 in 0: 16 0", 1)
     with pytest.raises(MalformedDump):
         parse_fabric_dump(bad)
@@ -373,7 +401,7 @@ def test_parse_rejects_vl_out_of_range():
 def test_parse_rejects_lft_port_beyond_radix():
     # before the check, build_cdg and route_walk failed on such a dump with IndexError
     topo = build_topology(DragonflyParams(2, 1, 1))
-    text = emit_fabric_dump(route_dla(topo))
+    text = emit_fabric_dump(synthesize(topo, "dla"))
     assert "lid 3 port 2" in text.splitlines()
     bad = text.replace("lid 3 port 2", "lid 3 port 99", 1)
     with pytest.raises(MalformedDump, match="lid 3 port 99 is beyond radix 3"):
@@ -400,7 +428,7 @@ def test_tables_that_do_not_fit_the_topology_are_rejected(config_shape, topo_sha
     # unchecked, build_cdg and run_sim ended in IndexError, and route_walk reported
     # a false RoutingLoop one way round and UnknownChannel the other
     config = parse_fabric_dump(emit_fabric_dump(
-        route_dla(build_topology(DragonflyParams.parse(config_shape)))))
+        synthesize(build_topology(DragonflyParams.parse(config_shape)), "dla")))
     topo = build_topology(DragonflyParams.parse(topo_shape))
     calls = [lambda: route_walk(topo, config, 0, 5), lambda: build_cdg(topo, config),
              lambda: SimConfig(topo, config, UniformTraffic())]
@@ -413,7 +441,7 @@ def test_tables_that_do_not_fit_the_topology_are_rejected(config_shape, topo_sha
 
 def test_parse_rejects_structural_damage():
     topo = build_topology(DragonflyParams(1, 1, 1, 2))
-    text = emit_fabric_dump(route_dla(topo))
+    text = emit_fabric_dump(synthesize(topo, "dla"))
     with pytest.raises(MalformedDump):
         parse_fabric_dump(text.replace("lid 1 port", "lid x port"))
     with pytest.raises(MalformedDump):

@@ -15,7 +15,6 @@ from dflysim import (
     UniformTraffic,
     build_topology,
     make_pattern,
-    route_dla,
     synthesize,
 )
 from dflysim.simulator import PACKET_PS, SimConfig, _FabricSim, arbitrate_output, run_sim, sweep
@@ -48,11 +47,37 @@ class SingleFlow(TrafficPattern):
         return {"kind": self.name, "src": self.src, "dst": self.dst}
 
 
+class OneSwitchUniform(TrafficPattern):
+    """Sources on switch 0 send to uniform destinations on switch 0, themselves
+    included: one p x p switch under uniform traffic, the setting of the
+    head-of-line blocking analysis. Endnodes on other switches stay idle."""
+
+    name = "one-switch-uniform"
+
+    def __init__(self, p):
+        self.p = p
+
+    def bind(self, n, seed):
+        self.n = n
+        return self
+
+    def source_load(self, s, offered):
+        return offered if s < self.p else 0.0
+
+    def choose(self, s, rng):
+        return rng.randrange(self.p)
+
+    def counted_endnodes(self):
+        return list(range(self.p))
+
+    def to_dict(self):
+        return {"kind": self.name, "p": self.p}
+
+
 def _config(engine="dla", pattern=None, **kw):
     params = kw.pop("params", DragonflyParams(4, 2, 2))
     topo = build_topology(params)
-    routing = synthesize(topo, engine) if engine != "dla-noshift" \
-        else route_dla(topo, vl_shift=False)
+    routing = synthesize(topo, engine.removesuffix("-noshift"), vl_shift=engine != "dla-noshift")
     defaults = dict(voq=True, buffer_depth=16, seed=1)
     defaults.update(kw)
     return SimConfig(topology=topo, routing=routing,
@@ -286,8 +311,10 @@ def test_config_validation():
         _config(warmup_s=-1)
     with pytest.raises(InvalidParams):
         _config(engine="dla", data_vls=1)  # dla needs 2 VLs
-    # an infinite window overflowed when rounded to picoseconds
-    for window in ({"warmup_s": float("inf")}, {"measure_s": float("inf")}):
+    # an infinite window, or a finite one whose picosecond value is not, overflowed
+    # when rounded to picoseconds
+    for window in ({"warmup_s": float("inf")}, {"measure_s": float("inf")},
+                   {"warmup_s": 1e297}, {"measure_s": 1e297}):
         with pytest.raises(InvalidParams):
             _config(**window)
     for fraction in (float("nan"), 5, 0, -0.1):
@@ -423,6 +450,24 @@ def test_deadlock_free_config_does_not_trip_watchdog():
 
 
 # -- switch features ------------------------------------------------------------
+
+# Saturation throughput of an N x N input-queued switch with FIFO inputs under
+# uniform traffic (Karol, Hluchyj & Morgan, IEEE Trans. Commun. 1987, Table I).
+KAROL_HOL_SATURATION = {2: 0.750, 3: 0.683, 4: 0.655, 8: 0.618}
+
+
+@pytest.mark.parametrize("p", sorted(KAROL_HOL_SATURATION))
+def test_fifo_switch_saturates_at_the_head_of_line_blocking_limit(p):
+    """Without VOQ a switch input is one FIFO per VL, so its throughput at full load
+    is the head-of-line blocking limit. Seeds 1-4 spread by up to 0.016 around the
+    finite-N values; the tolerance is that spread, rounded up."""
+    topo = build_topology(DragonflyParams(1, 1, p, 2))
+    for seed in range(1, 5):
+        r = run_sim(SimConfig(topology=topo, routing=synthesize(topo, "dla"),
+                              pattern=OneSwitchUniform(p), offered_load=1.0, voq=False,
+                              buffer_depth=16, warmup_s=0.2e-3, measure_s=2e-3, seed=seed))
+        assert r.accepted == pytest.approx(KAROL_HOL_SATURATION[p], abs=0.02), seed
+
 
 def test_voq_improves_saturation_throughput():
     novoq = run_sim(_config(voq=False, offered_load=1.0, seed=7)).accepted
