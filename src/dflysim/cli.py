@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 verification failure (or failed sweep rows),
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -63,7 +62,7 @@ def cmd_sweep(args) -> int:
     try:
         with open(args.manifest) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     manifest = parse_manifest(text)
@@ -88,15 +87,6 @@ def cmd_plot_data(args) -> int:
     rows = []
     try:
         for path in args.files:
-            if path.endswith(".json"):
-                with open(path) as fh:
-                    doc = json.load(fh)
-                row = doc["row"]
-                for run in doc["runs"]:
-                    rows.append((row["engine"], int(row["voq"]), row["buffer"],
-                                 float(run["offered"]), run["seed"],
-                                 f"{run['accepted']:.6f}"))
-                continue
             with open(path) as fh:
                 for line in fh:
                     line = line.strip()
@@ -105,7 +95,7 @@ def cmd_plot_data(args) -> int:
                     load, accepted, engine, voq, buffer_depth, seed = line.split(",")
                     rows.append((engine, int(voq), int(buffer_depth), float(load),
                                  int(seed), accepted))
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except ValueError as exc:  # a short line, a bad number, or bytes that are not UTF-8
         print(f"error: {path}: not a result file ({type(exc).__name__}: {exc})",
               file=sys.stderr)
         return 2

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .errors import InvalidParams, ManifestError
-from .routing import ENGINES, synthesize, vls_needed
-from .simulator import SimConfig, check_run_params, sweep
+from .routing import ENGINES, synthesize
+from .simulator import DATA_VLS, SimConfig, check_run_params, sweep
 from .topology import DragonflyParams, build_topology
 from .traffic import make_pattern
 
@@ -54,7 +54,6 @@ class ManifestRow:
     seeds: list[int]
     warmup_ms: float = 0.2
     measure_ms: float = 1.0
-    data_vls: int = 8
     pattern_args: dict = field(default_factory=dict)
 
     def canonical(self) -> dict:
@@ -70,7 +69,7 @@ class ManifestRow:
             "seeds": self.seeds,
             "warmup_ms": self.warmup_ms,
             "measure_ms": self.measure_ms,
-            "data_vls": self.data_vls,
+            "data_vls": DATA_VLS,  # fixed; the key keeps row hashes stable
         }
 
     @property
@@ -126,8 +125,9 @@ def _parse_bool(value: str, what: str) -> bool:
 
 _ROW_KEYS = {
     "params", "engine", "voq", "buffer", "pattern", "loads", "seeds",
-    "warmup_ms", "measure_ms", "data_vls", "hotspot_fraction", "stencil_dims",
+    "warmup_ms", "measure_ms", "hotspot_fraction", "stencil_dims",
 }
+_PATTERN_KEYS = {"hotspot_fraction": "hotspot", "stencil_dims": "stencil3d"}
 
 
 def parse_manifest(text: str) -> Manifest:
@@ -155,6 +155,9 @@ def parse_manifest(text: str) -> Manifest:
             raise ManifestError(
                 f"{where}: unknown engine {engine!r} (expected one of {sorted(ENGINES)})"
             )
+        for key, pattern in _PATTERN_KEYS.items():
+            if key in rec and rec["pattern"] != pattern:
+                raise ManifestError(f"{where}: {key} applies only to pattern={pattern}")
         pattern_args: dict = {}
         try:
             params = DragonflyParams.parse(rec["params"])
@@ -163,22 +166,17 @@ def parse_manifest(text: str) -> Manifest:
             buffer_depth = int(rec["buffer"])
             warmup_ms = float(rec.get("warmup_ms", 0.2))
             measure_ms = float(rec.get("measure_ms", 1.0))
-            data_vls = int(rec.get("data_vls", 8))
             if "hotspot_fraction" in rec:
                 pattern_args["fraction"] = float(rec["hotspot_fraction"])
             if "stencil_dims" in rec:
                 pattern_args["dims"] = [int(w) for w in rec["stencil_dims"].split(",")]
-            check_run_params(buffer_depth, data_vls, warmup_ms * 1e-3, measure_ms * 1e-3, loads)
+            check_run_params(buffer_depth, warmup_ms * 1e-3, measure_ms * 1e-3, loads)
             # binding checks the pattern's name, arguments and fit to this fabric
             make_pattern(rec["pattern"], **pattern_args).bind(params.num_endnodes, 1)
         except (ValueError, InvalidParams) as exc:
             raise ManifestError(f"{where}: {exc}") from None
         if not seeds:
             raise ManifestError(f"{where}: needs at least one seed")
-        needed = vls_needed(engine, params)
-        if data_vls < needed:
-            raise ManifestError(f"{where}: engine {engine} needs {needed} VLs on this fabric, "
-                                f"got data_vls={data_vls}")
         rows.append(ManifestRow(
             index=index,
             params=params,
@@ -190,7 +188,6 @@ def parse_manifest(text: str) -> Manifest:
             seeds=seeds,
             warmup_ms=warmup_ms,
             measure_ms=measure_ms,
-            data_vls=data_vls,
             pattern_args=pattern_args,
         ))
     manifest_hash = hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -230,7 +227,6 @@ def run_row(row: ManifestRow, out_dir: str, manifest_hash: str, force: bool = Fa
             pattern=make_pattern(row.pattern, **row.pattern_args),
             voq=row.voq,
             buffer_depth=row.buffer_depth,
-            data_vls=row.data_vls,
             warmup_s=row.warmup_ms * 1e-3,
             measure_s=row.measure_ms * 1e-3,
             seed=seed,

@@ -9,8 +9,9 @@ Three deterministic deadlock-free engines are synthesized from the topology:
 * updn — spanning-tree up*/down* routing, topology agnostic (1 SL, 1 VL).
 
 `synthesize` builds any engine's tables by name; `ENGINES` holds what differs
-between them. Group structure is rediscovered from the bare switch graph
-(closed neighborhoods / maximal cliques) rather than trusted from the builder.
+between them. The minimal engines route on the topology's grouping, or on one
+the caller passes, and check it against the wiring. `discover_groups` recovers
+a grouping from the bare switch graph (closed neighborhoods / maximal cliques).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import (InvariantViolation, MalformedDump, NotADragonfly, RoutingLoop,
                      UnsupportedParams, UnsupportedTopology)
-from .topology import GLOBAL, LOCAL, DragonflyParams, Topology, build_topology
+from .topology import GLOBAL, LOCAL, Topology
 
 MAX_SLS = 16
 _INF = float("inf")
@@ -266,20 +267,12 @@ def check_vl_shift(topology: Topology, config: RoutingConfig) -> None:
 def _minimal_groups(topology: Topology, groups: tuple[int, ...] | None) -> tuple[int, ...]:
     """The grouping that minimal routes follow, checked against the wiring.
 
-    `groups` is relabeled. Without it the grouping is rediscovered from the raw
-    switch graph, falling back to the builder's grouping for the corner fabrics
-    where the graph alone is ambiguous (complete switch graphs, e.g.
-    single-switch groups with g >= 3). Raises UnsupportedTopology unless the
-    grouping covers the topology's switches, local channels join each group's
-    switches pairwise, and a global channel joins every pair of groups.
+    `groups` is relabeled; without it the topology's own grouping is used.
+    Raises UnsupportedTopology unless the grouping covers the topology's
+    switches, local channels join each group's switches pairwise, and a global
+    channel joins every pair of groups.
     """
-    if groups is not None:
-        group = _relabel(groups)
-    else:
-        try:
-            group = discover_groups(topology)
-        except NotADragonfly:
-            group = tuple(topology.switch_group)
+    group = tuple(topology.switch_group) if groups is None else _relabel(groups)
     S = topology.num_switches
     if len(group) != S:
         raise UnsupportedTopology(
@@ -464,9 +457,9 @@ def synthesize(topology: Topology, engine: str, groups: tuple[int, ...] | None =
     """Build the routing configuration for one engine by name.
 
     The minimal engines route on `groups`, a switch -> group tuple that is
-    relabeled and checked, or else on the grouping they rediscover; both raise
-    UnsupportedTopology for a grouping the wiring does not bear out. updn needs
-    no groups and ignores them. `vl_shift=False` selects the shift-disabled dla
+    relabeled, or else on the topology's grouping; either is checked against
+    the wiring, and UnsupportedTopology is raised when the wiring does not bear
+    it out. updn needs no groups and ignores them. `vl_shift=False` selects the shift-disabled dla
     variant, VL 0 on every turn (known to leave cyclic dependencies); other
     engines have no VL shift and raise UnsupportedParams for it.
     """
@@ -487,17 +480,6 @@ def synthesize(topology: Topology, engine: str, groups: tuple[int, ...] | None =
         sl_groups=group if group_sls else (0,) * topology.num_switches,
         vl_shift_disabled=not vl_shift,
     )
-
-
-def vls_needed(engine: str, params: DragonflyParams) -> int:
-    """VLs that `engine`'s tables use on a fabric of this shape, without building it.
-
-    Every engine's SL2VL table depends only on the port kinds a switch has:
-    terminal and global ports, plus local ports when a > 1. The smallest
-    fabric with the same kinds therefore needs the same number of VLs.
-    """
-    proxy = build_topology(DragonflyParams(min(params.a, 2), 1, 1))
-    return synthesize(proxy, engine).resources[1]
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ Model highlights:
   advances only when the downstream VL buffer has a free slot.
 * Events move whole packets with flit-resolution timing: all times are integer
   picoseconds, and a packet occupies its link for MTU / FLIT_SIZE flit times.
-  The link model (rate, MTU, flit size, wire, pipeline and credit latencies)
-  is fixed by the module constants below.
+  The link model (rate, MTU, flit size, wire, pipeline and credit latencies,
+  VLs per port) is fixed by the module constants below.
 * Input-queued switches. Without VOQ each (input port, VL) keeps one FIFO and
   only its head packet competes for an output (head-of-line blocking).
   With VOQ the FIFO is split per output port, sharing the same VL buffer
@@ -52,6 +52,7 @@ FLIT_SIZE = 64              # bytes
 LINK_LATENCY_S = 40e-9
 PIPELINE_LATENCY_S = 100e-9
 CREDIT_LATENCY_S = 40e-9
+DATA_VLS = 8                # VLs per port
 
 PACKET_PS = MTU // FLIT_SIZE * (FLIT_SIZE * 8 * _PS // LINK_RATE)  # exact: 16 ns flits
 _LINK_PS = int(round(LINK_LATENCY_S * _PS))
@@ -66,12 +67,10 @@ _E_ARB = 3       # switch a, output b: a credit on VL c comes back if c >= 0, th
 _E_RELEASE = 4
 
 
-def check_run_params(buffer_depth, data_vls, warmup_s, measure_s, loads):
+def check_run_params(buffer_depth, warmup_s, measure_s, loads):
     """Range checks on the run parameters every caller may set (NaN fails too)."""
     if buffer_depth < 1:
         raise InvalidParams("buffer must hold at least one packet per VL")
-    if not 1 <= data_vls <= 15:
-        raise InvalidParams("data_vls must be in 1..15")
     if not 0 <= warmup_s * _PS < math.inf:
         raise InvalidParams("warm-up must be finite and not negative")
     if not 1 <= measure_s * _PS < math.inf:
@@ -92,21 +91,17 @@ class SimConfig:
     offered_load: float = 1.0
     voq: bool = True
     buffer_depth: int = 16          # packets per VL
-    data_vls: int = 8
     warmup_s: float = 0.2e-3
     measure_s: float = 1.0e-3
     seed: int = 1
 
     def __post_init__(self):
-        check_run_params(self.buffer_depth, self.data_vls, self.warmup_s, self.measure_s,
-                         [self.offered_load])
+        check_run_params(self.buffer_depth, self.warmup_s, self.measure_s, [self.offered_load])
         check_shape(self.topology, self.routing)
         check_vl_shift(self.topology, self.routing)
         _, vls_needed = self.routing.resources
-        if vls_needed > self.data_vls:
-            raise InvalidParams(
-                f"routing needs {vls_needed} VLs but only {self.data_vls} data VLs configured"
-            )
+        if vls_needed > DATA_VLS:
+            raise InvalidParams(f"routing needs {vls_needed} VLs but a port has {DATA_VLS}")
 
     @property
     def warmup_ps(self) -> int:
@@ -127,7 +122,7 @@ class SimConfig:
             "offered_load": self.offered_load,
             "voq": self.voq,
             "buffer_depth": self.buffer_depth,
-            "data_vls": self.data_vls,
+            "data_vls": DATA_VLS,
             "link_rate": LINK_RATE,
             "mtu": MTU,
             "flit_size": FLIT_SIZE,
@@ -213,18 +208,17 @@ class _FabricSim:
         self.cfg = cfg
         topo = cfg.topology
         radix = topo.params.radix
-        nvl = cfg.data_vls
         depth = cfg.buffer_depth
         n = topo.num_endnodes
         self.n = n
 
         ns = topo.num_switches
-        self.fifos = [[[defaultdict(list) for _ in range(nvl)] for _ in range(radix)]
+        self.fifos = [[[defaultdict(list) for _ in range(DATA_VLS)] for _ in range(radix)]
                       for _ in range(ns)]
-        self.occ = [[[0] * nvl for _ in range(radix)] for _ in range(ns)]
+        self.occ = [[[0] * DATA_VLS for _ in range(radix)] for _ in range(ns)]
         self.in_busy = [[0] * radix for _ in range(ns)]
         self.out_busy = [[0] * radix for _ in range(ns)]
-        self.credits = [[[depth] * nvl for _ in range(radix)] for _ in range(ns)]
+        self.credits = [[[depth] * DATA_VLS for _ in range(radix)] for _ in range(ns)]
         self.pending = [[{} for _ in range(radix)] for _ in range(ns)]
         self.rr_last = [[(-1, -1)] * radix for _ in range(ns)]
 
@@ -472,8 +466,7 @@ def run_sim(config: SimConfig) -> SimResult:
 def sweep(config: SimConfig, loads) -> list[SimResult]:
     """One independent run per load point; run i uses seed = base seed + i."""
     loads = list(loads)
-    check_run_params(config.buffer_depth, config.data_vls, config.warmup_s, config.measure_s,
-                     loads)
+    check_run_params(config.buffer_depth, config.warmup_s, config.measure_s, loads)
     out = []
     for i, load in enumerate(loads):
         out.append(run_sim(replace(config, offered_load=load, seed=config.seed + i)))

@@ -226,7 +226,7 @@ def test_sweep_honors_env_output_dir(tmp_path, monkeypatch, capsys):
     ("measure_ms=0.2", "measure_ms=x"),
     ("buffer=4", "buffer=4\ndata_vls=x"),
     ("buffer=4", "buffer=4\ndata_vls=20"),
-    ("buffer=4", "buffer=4\ndata_vls=1"),  # row 1 runs dla, which needs 2 VLs
+    ("buffer=4", "buffer=4\ndata_vls=1"),  # data_vls is no key, whatever its value
     ("warmup_ms=0.05", "warmup_ms=-1"),
     ("measure_ms=0.2", "measure_ms=0"),
     ("pattern=uniform", "pattern=hotspot\nhotspot_fraction=x"),
@@ -242,6 +242,8 @@ def test_sweep_honors_env_output_dir(tmp_path, monkeypatch, capsys):
     ("pattern=uniform", "pattern=stencil3d\nstencil_dims=0,0,0"),
     ("pattern=uniform", "pattern=stencil3d\nstencil_dims=1,2,4"),  # 8 != 6 endnodes
     ("pattern=uniform", "pattern=tornado"),
+    ("pattern=uniform", "pattern=uniform\nhotspot_fraction=0.1"),  # another pattern's key
+    ("pattern=uniform", "pattern=uniform\nstencil_dims=1,2,3"),
 ])
 def test_sweep_bad_row_value_names_the_row_and_exits_2(tmp_path, capsys, old, new):
     manifest = _write_manifest(tmp_path, TINY_MANIFEST.replace(old, new, 1))
@@ -249,6 +251,13 @@ def test_sweep_bad_row_value_names_the_row_and_exits_2(tmp_path, capsys, old, ne
     assert main(["sweep", str(manifest), "--out-dir", str(out_dir)]) == 2
     assert "row 1" in capsys.readouterr().err
     assert not out_dir.exists()  # rejected while parsing, before any row runs
+
+
+def test_sweep_non_utf8_manifest_exits_2(tmp_path, capsys):
+    manifest = tmp_path / "exp.manifest"
+    manifest.write_bytes(b"version=1\n\nparams=2,1,1\xff\n")
+    assert main(["sweep", str(manifest), "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class _RecordingPool:
@@ -311,13 +320,6 @@ def test_manifest_parser_rejects_garbage():
         parse_manifest(TINY_MANIFEST.replace("loads=0.2,0.6", "loads=0.6,0.2"))
 
 
-def test_manifest_takes_one_data_vl_where_the_engine_needs_one():
-    # with one switch per group, dla has no local hop to shift on
-    text = TINY_MANIFEST.replace("params=2,1,1", "params=1,2,1", 1)
-    manifest = parse_manifest(text.replace("buffer=4", "buffer=4\ndata_vls=1", 1))
-    assert manifest.rows[0].engine == "dla" and manifest.rows[0].data_vls == 1
-
-
 def test_shipped_desk_manifest_parses():
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     text = open(os.path.join(here, "manifests", "desk72.manifest")).read()
@@ -350,18 +352,14 @@ def test_plot_data_merges_and_sorts(tmp_path, capsys):
     assert merged.read_text().splitlines()[0] == CSV_HEADER
 
 
-def test_plot_data_reads_json_documents_too(tmp_path, capsys):
+def test_plot_data_reads_only_the_csv_files(tmp_path, capsys):
     manifest = _write_manifest(tmp_path)
     out_dir = tmp_path / "out"
     assert main(["sweep", str(manifest), "--out-dir", str(out_dir)]) == 0
     capsys.readouterr()
-    csvs = sorted(out_dir.glob("*.csv"))
-    jsons = sorted(out_dir.glob("*.json"))
-    assert main(["plot-data", str(csvs[0])]) == 0
-    from_csv = capsys.readouterr().out
-    assert main(["plot-data", str(jsons[0])]) == 0
-    from_json = capsys.readouterr().out
-    assert from_csv == from_json
+    doc = sorted(out_dir.glob("*.json"))[0]
+    assert main(["plot-data", str(doc)]) == 2
+    assert f"error: {doc}: not a result file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, content", [

@@ -182,6 +182,17 @@ def _tiny_params():
     return out
 
 
+@st.composite
+def _fabrics(draw, max_endnodes=80):
+    a = draw(st.integers(1, 4))
+    h = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 3))
+    g = draw(st.integers(2, a * h + 1))
+    if a * p * g > max_endnodes:
+        g = max(2, max_endnodes // (a * p))
+    return DragonflyParams(a, h, p, g)
+
+
 @pytest.mark.parametrize("params", _tiny_params(), ids=lambda p: p.label())
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_detector_agrees_with_exhaustive_cycle_search(params, variant):
@@ -205,6 +216,14 @@ def test_every_dependency_climbs_the_engines_channel_numbering(params, engine):
     cdg = build_cdg(topo, config)
     assert cdg.num_edges > 0
     assert descending_edges(cdg, channel_numbering(topo, config)) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=_fabrics(), engine=st.sampled_from(["dla", "d3r", "updn"]))
+def test_every_small_fabric_climbs_the_engines_channel_numbering(params, engine):
+    topo = build_topology(params)
+    config = synthesize(topo, engine)
+    assert descending_edges(build_cdg(topo, config), channel_numbering(topo, config)) == []
 
 
 @pytest.mark.parametrize("params", _tiny_params() + CERTIFIED, ids=lambda p: p.label())
@@ -271,17 +290,6 @@ def _assert_matches_oracle(topo, config):
     assert cdg.succ == ref.succ
     assert cdg.witness == ref.witness
     assert check_deadlock_free(cdg) == check_deadlock_free(ref) == tarjan_deadlock_report(cdg)
-
-
-@st.composite
-def _fabrics(draw, max_endnodes=80):
-    a = draw(st.integers(1, 4))
-    h = draw(st.integers(1, 3))
-    p = draw(st.integers(1, 3))
-    g = draw(st.integers(2, a * h + 1))
-    if a * p * g > max_endnodes:
-        g = max(2, max_endnodes // (a * p))
-    return DragonflyParams(a, h, p, g)
 
 
 @settings(max_examples=40, deadline=None)
@@ -391,9 +399,11 @@ def test_corrupted_lft_fails_like_the_oracle(params, variant, data):
 def _assert_engines_acyclic(params):
     topo = build_topology(params)
     for engine in ("dla", "d3r", "updn"):
-        cdg = build_cdg(topo, synthesize(topo, engine))
+        config = synthesize(topo, engine)
+        cdg = build_cdg(topo, config)
         report = check_deadlock_free(cdg)
         assert report.acyclic and report == tarjan_deadlock_report(cdg), engine
+        assert descending_edges(cdg, channel_numbering(topo, config)) == [], engine
 
 
 def test_engines_acyclic_at_1056_endnodes():

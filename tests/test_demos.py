@@ -1,11 +1,14 @@
 """The short demos and the README's library example run to completion: they call
-the public API end to end."""
+the public API end to end. README's manifest key list matches the parser."""
 
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+
+from dflysim import manifest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -35,9 +38,19 @@ def test_throughput_demo_shows_the_stall():
     assert "DeadlockDetected: no delivery for" in _run_demo("04_throughput_study.py")
 
 
-def test_readme_library_example_runs():
+def _readme():
     with open(os.path.join(ROOT, "README.md")) as f:
-        section = f.read().split("\n## Library\n", 1)[1]
+        return f.read()
+
+
+def test_readme_library_example_runs():
+    section = _readme().split("\n## Library\n", 1)[1]
     example = section.split("```python\n", 1)[1].split("```", 1)[0]
     assert "synthesize(" in example
     assert 0 < float(_run("-c", example)) <= 1  # it prints the accepted throughput
+
+
+def test_readme_lists_the_manifest_row_keys():
+    paragraph = _readme().split("\n`sweep` consumes", 1)[1].split("\n\n", 1)[0]
+    listed = paragraph.split("one record per experiment row", 1)[1].split(")", 1)[0]
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(manifest._ROW_KEYS)

@@ -15,7 +15,7 @@ from dflysim import (
     parse_fabric_dump,
     synthesize,
 )
-from dflysim.routing import ENGINES, route_walk, vls_needed
+from dflysim.routing import ENGINES, route_walk
 from dflysim.topology import GLOBAL, LOCAL, TERMINAL
 
 from oracles import (
@@ -307,18 +307,6 @@ def test_synthesized_switches_share_one_sl2vl_table(engine):
     assert all(table is config.sl2vl[0] for table in config.sl2vl)
 
 
-@pytest.mark.parametrize("params", [
-    DragonflyParams(1, 1, 1, 2),
-    DragonflyParams(1, 3, 2),     # single-switch groups: no local ports
-    DragonflyParams(2, 1, 1),
-    DragonflyParams(4, 2, 2),
-], ids=lambda p: p.label())
-def test_vls_needed_matches_the_synthesized_tables(params):
-    topo = build_topology(params)
-    for engine in ENGINES:
-        assert vls_needed(engine, params) == synthesize(topo, engine).resources[1], engine
-
-
 def test_minimal_engines_require_fully_connected_grouping():
     # a grouping that pairs switches across the builder's groups has no local
     # channel inside its "groups": the engines must refuse it
@@ -356,6 +344,23 @@ def test_updn_neither_discovers_nor_reads_groups(monkeypatch):
     monkeypatch.setattr("dflysim.routing.discover_groups", no_discovery)
     assert emit_fabric_dump(synthesize(topo, "updn")) == want
     assert emit_fabric_dump(synthesize(topo, "updn", (0, 1))) == want
+
+
+@pytest.mark.parametrize("engine", ["dla", "d3r"])
+@pytest.mark.parametrize("params", [
+    DragonflyParams(2, 1, 1, 3),
+    DragonflyParams(1, 3, 2),     # a complete switch graph: discovery cannot tell the groups
+], ids=lambda p: p.label())
+def test_minimal_engines_route_on_the_topology_grouping_without_discovery(
+        monkeypatch, params, engine):
+    topo = build_topology(params)
+    want = emit_fabric_dump(synthesize(topo, engine, tuple(topo.switch_group)))
+
+    def no_discovery(graph):
+        raise AssertionError(f"{engine} ran group discovery")
+
+    monkeypatch.setattr("dflysim.routing.discover_groups", no_discovery)
+    assert emit_fabric_dump(synthesize(topo, engine)) == want
 
 
 @pytest.mark.parametrize("engine", ["dla", "d3r", "updn"])

@@ -14,7 +14,9 @@ from dflysim import (
     InvalidParams,
     UniformTraffic,
     build_topology,
+    emit_fabric_dump,
     make_pattern,
+    parse_fabric_dump,
     synthesize,
 )
 from dflysim.simulator import PACKET_PS, SimConfig, _FabricSim, arbitrate_output, run_sim, sweep
@@ -302,15 +304,11 @@ def test_config_validation():
     with pytest.raises(InvalidParams):
         _config(offered_load=1.5)
     with pytest.raises(InvalidParams):
-        _config(data_vls=16)
-    with pytest.raises(InvalidParams):
         _config(measure_s=0)
     with pytest.raises(InvalidParams):
         _config(measure_s=1e-13)  # rounds to a 0 ps window
     with pytest.raises(InvalidParams):
         _config(warmup_s=-1)
-    with pytest.raises(InvalidParams):
-        _config(engine="dla", data_vls=1)  # dla needs 2 VLs
     # an infinite window, or a finite one whose picosecond value is not, overflowed
     # when rounded to picoseconds
     for window in ({"warmup_s": float("inf")}, {"measure_s": float("inf")},
@@ -323,6 +321,15 @@ def test_config_validation():
     for dims in ((1, 2), (-1, -2, 36), (0, 0, 0), (2.0, 6, 6)):
         with pytest.raises(InvalidParams):
             _config(pattern=Stencil3dTraffic(dims))
+    # a dump may use VLs up to 15, but a port has 8: SL 0 on VL 8 needs 9
+    topo = build_topology(DragonflyParams(2, 1, 1))
+    text = emit_fabric_dump(synthesize(topo, "updn"))
+    text = text.replace("vls 1\n", "vls 9\n", 1)
+    text = text.replace("sl2vl out 0 in 1: 0", "sl2vl out 0 in 1: 8", 1)
+    routing = parse_fabric_dump(text)
+    assert routing.resources == (1, 9)
+    with pytest.raises(InvalidParams, match="needs 9 VLs"):
+        SimConfig(topo, routing, UniformTraffic())
 
 
 # -- basic behavior -------------------------------------------------------------
