@@ -175,6 +175,8 @@ def parse_manifest(text: str) -> Manifest:
             make_pattern(rec["pattern"], **pattern_args).bind(params.num_endnodes, 1)
         except (ValueError, InvalidParams) as exc:
             raise ManifestError(f"{where}: {exc}") from None
+        if not loads:
+            raise ManifestError(f"{where}: needs at least one load")
         if not seeds:
             raise ManifestError(f"{where}: needs at least one seed")
         rows.append(ManifestRow(

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (InvariantViolation, MalformedDump, NotADragonfly, RoutingLoop,
                      UnsupportedParams, UnsupportedTopology)
 from .topology import GLOBAL, LOCAL, Topology
 
 MAX_SLS = 16
-_INF = float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +294,20 @@ def _minimal_groups(topology: Topology, groups: tuple[int, ...] | None) -> tuple
 
 
 def _minimal_next_port(topology: Topology, gid: tuple[int, ...]):
-    """Switch-level next-output-port table for minimal Dragonfly routing.
+    """Switch-level next-output-port rows for minimal Dragonfly routing.
 
     Route shape: optional local hop to the switch owning the global channel,
     the single global hop, optional local hop inside the destination group.
-    Ties (parallel global channels) go to the lowest (switch id, port).
+    Ties (parallel global channels) go to the lowest (switch id, port). Each
+    switch picks one port per destination group and copies it to the group's
+    switches; only its own group-mates get a port each. Rows are yielded one
+    switch at a time, so no switch x switch table is held.
     """
     S = topology.num_switches
+    G = max(gid) + 1
+    members: list[list[int]] = [[] for _ in range(G)]
+    for s, g in enumerate(gid):
+        members[g].append(s)
     # per switch: destination group -> lowest egress port
     egress: list[dict[int, int]] = [{} for _ in range(S)]
     # per group pair: lowest switch in src group owning a cable to dst group
@@ -313,34 +320,33 @@ def _minimal_next_port(topology: Topology, gid: tuple[int, ...]):
             if key not in owner or s < owner[key]:
                 owner[key] = s
 
-    np_table = [[-1] * S for _ in range(S)]
+    by_group = itemgetter(*gid)  # a per-group list -> a per-switch tuple
     for s in range(S):
-        gs = gid[s]
-        row = np_table[s]
-        for t in range(S):
-            if t == s:
-                continue
-            gt = gid[t]
-            if gt == gs:
+        gs, out = gid[s], egress[s]
+        group_port = [-1] * G
+        for gt in range(G):
+            if gt != gs:
+                group_port[gt] = out[gt] if gt in out else topology.local_port(s, owner[gs, gt])
+        row = list(by_group(group_port))
+        for t in members[gs]:
+            if t != s:
                 row[t] = topology.local_port(s, t)
-            elif gt in egress[s]:
-                row[t] = egress[s][gt]
-            else:
-                row[t] = topology.local_port(s, owner[(gs, gt)])
-    return np_table
+        yield row
 
 
-def _expand_lft(topology: Topology, np_table) -> list[list[int]]:
-    """Endnode-level LFT from a switch-level next-port table."""
+def _expand_lft(topology: Topology, np_rows) -> list[list[int]]:
+    """Endnode-level LFT from switch-level next-port rows, one per switch in
+    order: each switch's next port covers its p endnodes, and a switch's own
+    endnodes take their attach ports."""
     p = topology.params.p
     n = topology.num_endnodes
+    attach = list(range(p))
     lft = []
-    for s in range(topology.num_switches):
+    for s, nprow in enumerate(np_rows):
         row = [0] * n
-        nprow = np_table[s]
-        for e in range(n):
-            sd = e // p
-            row[e] = e % p if sd == s else nprow[sd]
+        for k in range(p):
+            row[k::p] = nprow
+        row[s * p:(s + 1) * p] = attach
         lft.append(row)
     return lft
 
@@ -414,32 +420,39 @@ def _updn_next_port(topology: Topology):
     def rank(v):
         return (level[v], v)
 
-    up_nbrs = [sorted((u for u in adj[v] if rank(u) < rank(v)), key=rank) for v in range(S)]
-    down_nbrs = [sorted((u for u in adj[v] if rank(u) > rank(v))) for v in range(S)]
+    up_nbrs = [[u for u in adj[v] if rank(u) < rank(v)] for v in range(S)]
     by_rank = sorted(range(S), key=rank)
+    port_to = [{u: ports[0] for u, ports in adj[v].items()} for v in range(S)]  # lowest port
 
     np_table = [[-1] * S for _ in range(S)]
     for d in range(S):
-        # shortest all-down distance to d (reverse BFS climbs toward lower ranks)
-        ad = [_INF] * S
-        ad[d] = 0
-        dq = deque([d])
-        while dq:
-            cur = dq.popleft()
-            for x in up_nbrs[cur]:
-                if ad[x] is _INF:
-                    ad[x] = ad[cur] + 1
-                    dq.append(x)
-        r = list(ad)
+        # key[v] = S * hops + v, where hops is v's hop count to d; -1 until known.
+        # A reverse BFS from d climbs toward lower ranks and finds every switch
+        # with an all-down path; each layer is scanned in id order, so a switch
+        # first found from cur descends to the smallest cur one hop closer.
+        key = [-1] * S
+        key[d] = d
+        cost_of = key.__getitem__
+        layer, hops = [d], 0
+        while layer:
+            hops += 1
+            found = []
+            for cur in layer:
+                for x in up_nbrs[cur]:
+                    if key[x] < 0:
+                        key[x] = hops * S + x
+                        np_table[x][d] = port_to[x][cur]
+                        found.append(x)
+            found.sort()
+            layer = found
+        # The rest climb to the up neighbor of least (cost, id); by_rank puts
+        # every up neighbor first.
         for v in by_rank:
-            if v == d:
-                continue
-            if ad[v] is not _INF:
-                nh = min(u for u in down_nbrs[v] if ad[u] == ad[v] - 1)
-            else:
-                cost, nh = min((r[u] + 1, u) for u in up_nbrs[v])
-                r[v] = cost
-            np_table[v][d] = min(adj[v][nh])
+            if key[v] < 0:
+                k = min(map(cost_of, up_nbrs[v]))
+                nh = k % S
+                key[v] = k - nh + S + v
+                np_table[v][d] = port_to[v][nh]
     return np_table
 
 

@@ -8,7 +8,8 @@ test, so agreement is meaningful.
 from collections import Counter, deque
 
 from dflysim.deadlock import ChannelDependencyGraph, DeadlockReport
-from dflysim.routing import route_walk
+from dflysim.routing import (_ZERO_ROW, ENGINES, RoutingConfig, _kind_tables, _minimal_groups,
+                             route_walk)
 from dflysim.topology import GLOBAL, Topology
 
 
@@ -349,3 +350,118 @@ def sorted_scan_arbiter(last_granted, candidates, eligible):
         if eligible(key):
             return key
     return None
+
+
+def reference_synthesize(topo: Topology, engine: str, groups=None, vl_shift: bool = True):
+    """`synthesize` with the original table builders, which work per endnode pair.
+
+    The grouping check, SL2VL tables and SL groups come from the package; the
+    LFT is built one (switch, destination) entry at a time: minimal routes by a
+    `local_port` call or a dict lookup per switch pair, up*/down* routes by a
+    tuple `min` per (switch, destination switch), and one Python step per
+    endnode to expand switch-level next ports to endnodes.
+    """
+    minimal, group_sls, vl_row = ENGINES[engine]
+    if minimal:
+        group = _minimal_groups(topo, groups)
+        np_table = _reference_minimal_next_port(topo, group)
+    else:
+        np_table = _reference_updn_next_port(topo)
+    return RoutingConfig(
+        engine=engine,
+        lft=_reference_expand_lft(topo, np_table),
+        sl2vl=_kind_tables(topo, vl_row if vl_shift else lambda out_kind, in_kind: _ZERO_ROW),
+        sl_groups=group if group_sls else (0,) * topo.num_switches,
+        vl_shift_disabled=not vl_shift,
+    )
+
+
+def _reference_minimal_next_port(topo: Topology, gid):
+    S = topo.num_switches
+    # per switch: destination group -> lowest egress port
+    egress: list[dict[int, int]] = [{} for _ in range(S)]
+    # per group pair: lowest switch in src group owning a cable to dst group
+    owner: dict[tuple[int, int], int] = {}
+    for s in range(S):
+        for port, peer_sw, _ in sorted(topo.global_ports(s)):
+            gd = gid[peer_sw]
+            egress[s].setdefault(gd, port)
+            key = (gid[s], gd)
+            if key not in owner or s < owner[key]:
+                owner[key] = s
+
+    np_table = [[-1] * S for _ in range(S)]
+    for s in range(S):
+        gs = gid[s]
+        row = np_table[s]
+        for t in range(S):
+            if t == s:
+                continue
+            gt = gid[t]
+            if gt == gs:
+                row[t] = topo.local_port(s, t)
+            elif gt in egress[s]:
+                row[t] = egress[s][gt]
+            else:
+                row[t] = topo.local_port(s, owner[(gs, gt)])
+    return np_table
+
+
+def _reference_expand_lft(topo: Topology, np_table) -> list[list[int]]:
+    p = topo.params.p
+    n = topo.num_endnodes
+    lft = []
+    for s in range(topo.num_switches):
+        row = [0] * n
+        nprow = np_table[s]
+        for e in range(n):
+            sd = e // p
+            row[e] = e % p if sd == s else nprow[sd]
+        lft.append(row)
+    return lft
+
+
+def _reference_updn_next_port(topo: Topology):
+    adj = topo.switch_adjacency()
+    S = topo.num_switches
+    level = [-1] * S
+    level[0] = 0
+    dq = deque([0])
+    while dq:
+        cur = dq.popleft()
+        for nb in sorted(adj[cur]):
+            if level[nb] < 0:
+                level[nb] = level[cur] + 1
+                dq.append(nb)
+
+    def rank(v):
+        return (level[v], v)
+
+    up_nbrs = [sorted((u for u in adj[v] if rank(u) < rank(v)), key=rank) for v in range(S)]
+    down_nbrs = [sorted((u for u in adj[v] if rank(u) > rank(v))) for v in range(S)]
+    by_rank = sorted(range(S), key=rank)
+    inf = float("inf")
+
+    np_table = [[-1] * S for _ in range(S)]
+    for d in range(S):
+        # shortest all-down distance to d (reverse BFS climbs toward lower ranks)
+        ad = [inf] * S
+        ad[d] = 0
+        dq = deque([d])
+        while dq:
+            cur = dq.popleft()
+            for x in up_nbrs[cur]:
+                if ad[x] is inf:
+                    ad[x] = ad[cur] + 1
+                    dq.append(x)
+        r = list(ad)
+        for v in by_rank:
+            if v == d:
+                continue
+            if ad[v] is not inf:
+                nh = min(u for u in down_nbrs[v] if ad[u] == ad[v] - 1)
+            else:
+                cost, nh = min((r[u] + 1, u) for u in up_nbrs[v])
+                r[v] = cost
+            np_table[v][d] = min(adj[v][nh])
+    return np_table

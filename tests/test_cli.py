@@ -4,12 +4,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dflysim import __version__
 from dflysim import manifest as manifest_mod
 from dflysim.cli import main
 from dflysim.manifest import CSV_HEADER, parse_manifest
-from dflysim.errors import ManifestError
+from dflysim.errors import DflyError, ManifestError
 from dflysim.routing import parse_fabric_dump
 
 TINY_MANIFEST = """\
@@ -244,6 +246,8 @@ def test_sweep_honors_env_output_dir(tmp_path, monkeypatch, capsys):
     ("pattern=uniform", "pattern=tornado"),
     ("pattern=uniform", "pattern=uniform\nhotspot_fraction=0.1"),  # another pattern's key
     ("pattern=uniform", "pattern=uniform\nstencil_dims=1,2,3"),
+    ("loads=0.2,0.6", "loads="),  # no load: the row would sweep nothing
+    ("loads=0.2,0.6", "loads=, ,"),
 ])
 def test_sweep_bad_row_value_names_the_row_and_exits_2(tmp_path, capsys, old, new):
     manifest = _write_manifest(tmp_path, TINY_MANIFEST.replace(old, new, 1))
@@ -318,6 +322,69 @@ def test_manifest_parser_rejects_garbage():
         parse_manifest(TINY_MANIFEST.replace("voq=on", "voq=maybe"))
     with pytest.raises(ManifestError):
         parse_manifest(TINY_MANIFEST.replace("loads=0.2,0.6", "loads=0.6,0.2"))
+
+
+def _assert_parses_or_refuses(text):
+    """A manifest either parses into rows that each run something, or is refused
+    with a typed error (exit 2 on the command line); nothing else escapes."""
+    try:
+        manifest = parse_manifest(text)
+    except DflyError:
+        return
+    assert all(row.loads and row.seeds for row in manifest.rows)
+
+
+_MANIFEST_KEYS = ["version", "output_dir", "params", "engine", "voq", "buffer", "pattern",
+                  "loads", "seeds", "warmup_ms", "measure_ms", "hotspot_fraction",
+                  "stencil_dims", "data_vls", "", "#loads"]
+# A replaced value has at most 4 characters or is the small 1,2,3, and a mutant
+# makes at most three edits, so none builds a fabric of more than about 100 k
+# endnodes while parsing.
+_MANIFEST_VALUES = (st.text(alphabet="0123456789,.-+eE nafi=#", max_size=4)
+                    | st.sampled_from(["uniform", "stencil3d", "hotspot", "tornado",
+                                       "dla", "d3r", "updn", "on", "off", "nan", "-inf", "1,2,3"]))
+
+
+_LINE_EDITS = ["drop", "swap", "key", "value", "empty", "blank", "digit"]
+
+
+@st.composite
+def _mutated_manifests(draw):
+    """TINY_MANIFEST with one to three of its row lines edited; the
+    arbitrary-text test covers headers."""
+    header, rows = TINY_MANIFEST.split("\n\n", 1)
+    lines = rows.split("\n")
+    for op in draw(st.lists(st.sampled_from(_LINE_EDITS), min_size=1, max_size=3)):
+        i = draw(st.integers(0, len(lines) - 2))  # the last line is the empty one after a newline
+        key, _, value = lines[i].partition("=")
+        if op == "drop":
+            del lines[i]
+        elif op == "swap":
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        elif op == "key":
+            lines[i] = draw(st.sampled_from(_MANIFEST_KEYS)) + "=" + value
+        elif op == "value":
+            lines[i] = key + "=" + draw(_MANIFEST_VALUES)
+        elif op == "empty":
+            lines[i] = key + "=" + draw(st.sampled_from(["", ",", " , "]))
+        elif op == "blank":
+            lines.insert(i, "")
+        else:  # a digit, comma, point or space into the value
+            at = draw(st.integers(0, len(value)))
+            lines[i] = key + "=" + value[:at] + draw(st.sampled_from("0123456789,. ")) + value[at:]
+    return header + "\n\n" + "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_mutated_manifests())
+def test_mutated_manifests_parse_or_are_refused(text):
+    _assert_parses_or_refuses(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text(max_size=80) | st.text(alphabet="version=1\nparams,.0123456789 ", max_size=80))
+def test_arbitrary_text_parses_or_is_refused(text):
+    _assert_parses_or_refuses(text)
 
 
 def test_shipped_desk_manifest_parses():

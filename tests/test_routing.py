@@ -1,4 +1,8 @@
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dflysim import (
     DragonflyParams,
@@ -23,6 +27,7 @@ from oracles import (
     canonical_route_channels,
     legal_updn_distance,
     lft_switch_path,
+    reference_synthesize,
     switch_adjacency_simple,
     updn_rank_fn,
 )
@@ -373,6 +378,77 @@ def test_deliverability_within_switch_count(engine):
             if src != dst:
                 path = lft_switch_path(topo, config, src, dst)
                 assert len(path) <= topo.num_switches
+
+
+# -- synthesis against the per-pair reference -----------------------------------
+
+VARIANTS = [("dla", True), ("dla", False), ("d3r", True), ("updn", True)]
+
+
+@st.composite
+def _small_fabrics(draw):
+    a = draw(st.integers(1, 5))
+    h = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 3))
+    g = draw(st.integers(2, a * h + 1))  # below ah + 1 too, with parallel global cables
+    return DragonflyParams(a, h, p, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=_small_fabrics(), variant=st.sampled_from(VARIANTS), discovered=st.booleans())
+def test_synthesize_matches_the_per_pair_reference(params, variant, discovered):
+    """Entry for entry: every LFT port, SL2VL row and SL group, with no grouping
+    passed and with the one discovery finds (a complete switch graph has none)."""
+    engine, vl_shift = variant
+    topo = build_topology(params)
+    groups = None
+    if discovered and not (params.a == 1 and params.g > 2):
+        groups = discover_groups(topo)
+    assert (synthesize(topo, engine, groups, vl_shift=vl_shift)
+            == reference_synthesize(topo, engine, groups, vl_shift=vl_shift))
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v[0] + ("" if v[1] else "-noshift"))
+@pytest.mark.parametrize("params", [DragonflyParams(6, 3, 3), DragonflyParams(8, 4, 4)],
+                         ids=lambda p: str(p.num_endnodes))
+def test_synthesize_matches_the_per_pair_reference_at_study_sizes(params, variant):
+    engine, vl_shift = variant
+    topo = build_topology(params)
+    got = synthesize(topo, engine, vl_shift=vl_shift)
+    want = reference_synthesize(topo, engine, vl_shift=vl_shift)
+    assert got.lft == want.lft
+    assert got.sl2vl == want.sl2vl
+    assert got.sl_groups == want.sl_groups
+
+
+# sha256 of emit_fabric_dump, recorded from the per-endnode builders that
+# reference_synthesize keeps.
+PINNED_DUMPS = {
+    (72, "dla"): "4c65165616c716b60b78a9b0b5fcf0d6f62931a1b64916a60879f48df4b58ffe",
+    (72, "dla-noshift"): "3f9d66f76e63fb43fdb660d8676d20bbaae260d3d12d2808571433acede87967",
+    (72, "d3r"): "b7cf6ba2abf9175b0d7c30931d391858b385dea824d5b181e9f3f8472124fbdd",
+    (72, "updn"): "43785e64d1ff16cc7f5d804d1d20da01c2f075251951bbbc61815c011ee816b6",
+    (342, "dla"): "297eca974cd9cdc7ba6b903b2f4693f139f7fb82de9f18474ff485f3857d51fe",
+    (342, "dla-noshift"): "bfff31481776f18f01e8f536b2682a1d53213aee20dcc24c82482b247702ccab",
+    (342, "d3r"): "300fb7cab161348aee526b678df23e832ddf2d4f1b8ec3d1bd671f547d4d299e",
+    (342, "updn"): "7db2261f0bc10543f882e6b11c862d64aabc514927e2f7ce36a5a7cbca780dbd",
+    (1056, "dla"): "b9d3c4601584009868eb5c29ea3e7f4ed783f8d4cd1745cd841763c311c0031a",
+    (1056, "dla-noshift"): "84fea4e7e4c3559dca6c5892c1aa8ef69c604eaa5f47860fb5cba42c54a3ec99",
+    (1056, "d3r"): "1a5564c9566a5b393ecd2f22365766355716044521de46315c72a2e95dadac60",
+    (1056, "updn"): "8b8ab0771211da82adea595082a12a70a7d86b2d5fa9cc663620de66efe89ffa",
+}
+STUDY_FABRICS = {72: DragonflyParams(4, 2, 2), 342: DragonflyParams(6, 3, 3),
+                 1056: DragonflyParams(8, 4, 4)}
+
+
+@pytest.mark.parametrize("endnodes", sorted(STUDY_FABRICS))
+def test_fabric_dumps_hold_their_pinned_digests(endnodes):
+    topo = build_topology(STUDY_FABRICS[endnodes])
+    for variant in ("dla", "dla-noshift", "d3r", "updn"):
+        config = synthesize(topo, variant.removesuffix("-noshift"),
+                            vl_shift=variant != "dla-noshift")
+        digest = hashlib.sha256(emit_fabric_dump(config).encode()).hexdigest()
+        assert digest == PINNED_DUMPS[endnodes, variant], variant
 
 
 # -- fabric dump round trip ---------------------------------------------------
