@@ -164,10 +164,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except DflyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DflyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

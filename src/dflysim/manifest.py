@@ -94,15 +94,13 @@ class Manifest:
 
 def _records(text: str):
     rec: dict[str, str] = {}
-    order = 0
     for lineno, raw in enumerate(text.splitlines() + [""], 1):
         line = raw.strip()
         if line.startswith("#"):
             continue
         if not line:
             if rec:
-                order += 1
-                yield order, rec
+                yield rec
                 rec = {}
             continue
         if "=" not in line:
@@ -134,7 +132,7 @@ def parse_manifest(text: str) -> Manifest:
     records = list(_records(text))
     if not records:
         raise ManifestError("empty manifest (missing version header)")
-    _, header = records[0]
+    header = records[0]
     if header.get("version") != "1":
         raise ManifestError("manifest header must declare version=1")
     unknown = set(header) - {"version", "output_dir"}
@@ -142,7 +140,7 @@ def parse_manifest(text: str) -> Manifest:
         raise ManifestError(f"unknown header keys: {sorted(unknown)}")
 
     rows = []
-    for index, (_, rec) in enumerate(records[1:], 1):
+    for index, rec in enumerate(records[1:], 1):
         where = f"row {index}"
         unknown = set(rec) - _ROW_KEYS
         if unknown:
@@ -171,8 +169,8 @@ def parse_manifest(text: str) -> Manifest:
             if "stencil_dims" in rec:
                 pattern_args["dims"] = [int(w) for w in rec["stencil_dims"].split(",")]
             check_run_params(buffer_depth, warmup_ms * 1e-3, measure_ms * 1e-3, loads)
-            # binding checks the pattern's name, arguments and fit to this fabric
-            make_pattern(rec["pattern"], **pattern_args).bind(params.num_endnodes, 1)
+            # checks the pattern's name, arguments and fit without building its tables
+            make_pattern(rec["pattern"], **pattern_args).check_fit(params.num_endnodes)
         except (ValueError, InvalidParams) as exc:
             raise ManifestError(f"{where}: {exc}") from None
         if not loads:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import zip_longest
 from operator import itemgetter
 
 from .errors import (InvariantViolation, MalformedDump, NotADragonfly, RoutingLoop,
@@ -535,111 +536,94 @@ def emit_fabric_dump(config: RoutingConfig) -> str:
 def parse_fabric_dump(text: str) -> RoutingConfig:
     """Parse emit_fabric_dump output back into a RoutingConfig.
 
-    emit(parse(emit(config))) is byte-identical to emit(config). Raises
-    MalformedDump on structural or range errors (VL indices must be < 16, LFT
-    ports below the radix), on a vlshift record other than `vlshift off` on a
-    dla dump, and when the sls, vls, slpolicy or groupmap records differ from
-    what the parsed tables give.
+    One pass reads the records in the order emit_fabric_dump writes them: the
+    header, then `switch 0, 1, ...`, each with `lid 0, 1, ...` and then its
+    sl2vl rows in (out, in) row-major order. Switch 0 fixes the endnode count
+    and the radix. emit(parse(emit(config))) is byte-identical to emit(config).
+    Raises MalformedDump on a record that is unknown, repeated, missing or out
+    of order, on range errors (VL indices must be < 16, LFT ports below the
+    radix), on a vlshift record other than `vlshift off` on a dla dump, and when
+    the header is not the one emit_fabric_dump writes for the parsed tables.
     """
-    header: dict[str, str] = {}
-    lfts: list[list[int]] = []
-    sl2vls: list[dict[tuple[int, int], tuple[int, ...]]] = []
+    header: list[tuple[str, str]] = []
+    lft: list[list[int]] = []
+    sl2vl: list[list] = []            # [switch] -> sl2vl rows, split by out port once all are read
     rows: dict[tuple[int, ...], tuple[int, ...]] = {}  # interned: equal rows share one tuple
-    cur_lft: dict[int, int] | None = None
+    radix = None                      # set by switch 0's first out 1 row
 
     def fail(lineno, why):
         raise MalformedDump(f"line {lineno}: {why}")
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), 1):
         words = line.split()
+        if not words:
+            continue
         key = words[0]
-        if key == "switch":
-            if len(words) != 2 or not words[1].isdigit():
-                fail(lineno, "bad switch header")
-            if int(words[1]) != len(lfts):
-                fail(lineno, "switch ids must be dense and in order")
-            cur_lft = {}
-            lfts.append(cur_lft)
-            sl2vls.append({})
-        elif key == "lid":
-            if cur_lft is None or len(words) != 4 or words[2] != "port":
-                fail(lineno, "bad lid line")
-            try:
-                dst, port = int(words[1]), int(words[3])
-            except ValueError:
-                fail(lineno, "lid/port must be integers")
-            if port < 0:
-                fail(lineno, "negative port")
-            cur_lft[dst] = port
-        elif key == "sl2vl":
-            # sl2vl out <op> in <ip>: v0 v1 ... v15
-            if cur_lft is None or len(words) != 5 + MAX_SLS or words[1] != "out" or words[3] != "in":
+        if key == "lid":
+            if not lft or sl2vl[-1]:
+                fail(lineno, "a lid record must follow a switch record or a lid record")
+            ports, port = lft[-1], words[-1]
+            if words != ["lid", str(len(ports)), "port", port] or not port.isdecimal():
+                fail(lineno, f"expected lid {len(ports)} port <port>")
+            ports.append(int(port))
+        elif key == "sl2vl":  # sl2vl out <op> in <ip>: v0 v1 ... v15
+            if not lft or len(words) != 5 + MAX_SLS:
                 fail(lineno, "bad sl2vl line")
-            if not words[4].endswith(":"):
-                fail(lineno, "missing colon after input port")
-            try:
-                op = int(words[2])
-                ip = int(words[4][:-1])
-                vls = tuple(int(w) for w in words[5:])
-            except ValueError:
+            table = sl2vl[-1]
+            if radix is None and words[2:5] == ["1", "in", "0:"]:
+                radix = len(table)  # switch 0's first out 1 row
+            op, ip = divmod(len(table), radix) if radix else (0, len(table))
+            if words[1:5] != ["out", str(op), "in", f"{ip}:"]:
+                fail(lineno, f"expected sl2vl out {op} in {ip}:")
+            if not all(map(str.isdecimal, words[5:])):
                 fail(lineno, "sl2vl entries must be integers")
-            if any(v < 0 or v >= MAX_SLS for v in vls):
+            vls = tuple(map(int, words[5:]))
+            if max(vls) >= MAX_SLS:
                 fail(lineno, "VL index out of range 0..15")
-            sl2vls[-1][(op, ip)] = rows.setdefault(vls, vls)
+            table.append(rows.setdefault(vls, vls))
+        elif key == "switch":
+            if words != ["switch", str(len(lft))]:
+                fail(lineno, f"expected switch {len(lft)}: switch ids must be dense and in order")
+            lft.append([])
+            sl2vl.append([])
         elif key in ("engine", "vlshift", "sls", "vls", "slpolicy", "groupmap"):
-            header[key] = " ".join(words[1:])
+            if lft:
+                fail(lineno, f"{key} record after the switch records")
+            header.append((key, " ".join(words[1:])))
         else:
             fail(lineno, f"unknown record {key!r}")
 
-    if not lfts:
+    if not lft:
         raise MalformedDump("no switch records")
-    if "engine" not in header:
-        raise MalformedDump("missing engine header")
-
-    num_endnodes = len(lfts[0])
-    radix_keys = sorted(sl2vls[0])
-    radix = max(k[0] for k in radix_keys) + 1 if radix_keys else 0
-    lft_lists = []
-    sl2vl_lists = []
-    for s, (lft_map, svl_map) in enumerate(zip(lfts, sl2vls)):
-        if sorted(lft_map) != list(range(num_endnodes)):
+    # switch 0 fixes the endnode count, and the radix unless its rows all had out 0
+    num_endnodes, radix = len(lft[0]), radix or len(sl2vl[0])
+    for s, (ports, table) in enumerate(zip(lft, sl2vl)):
+        if len(ports) != num_endnodes:
             raise MalformedDump(f"switch {s}: LFT is not total over 0..{num_endnodes - 1}")
-        if sorted(svl_map) != [(op, ip) for op in range(radix) for ip in range(radix)]:
+        if len(table) != radix * radix:
             raise MalformedDump(f"switch {s}: SL2VL table is not total over the radix")
-        for dst, port in lft_map.items():
-            if port >= radix:
-                raise MalformedDump(f"switch {s}: lid {dst} port {port} is beyond radix {radix}")
-        lft_lists.append([lft_map[d] for d in range(num_endnodes)])
-        sl2vl_lists.append([[svl_map[(op, ip)] for ip in range(radix)] for op in range(radix)])
-
-    try:  # no groupmap: every switch in SL group 0
-        sl_groups = tuple(int(w) for w in header.get("groupmap", "0 " * len(lfts)).split())
-    except ValueError:
-        raise MalformedDump("groupmap entries must be integers") from None
-    if len(sl_groups) != len(lfts):
-        raise MalformedDump("groupmap length != switch count")
-    vlshift = header.get("vlshift")
+        if ports and max(ports) >= radix:
+            dst = next(d for d, port in enumerate(ports) if port >= radix)
+            raise MalformedDump(f"switch {s}: lid {dst} port {ports[dst]} is beyond radix {radix}")
+        sl2vl[s] = [table[op:op + radix] for op in range(0, radix * radix, radix)]
+    if not header or header[0][0] != "engine":
+        raise MalformedDump("missing engine header: the dump must open with an engine record")
+    fields = dict(header)
+    groupmap = fields.get("groupmap", "0 " * len(lft)).split()  # none: all in SL group 0
+    if len(groupmap) != len(lft) or not all(map(str.isdecimal, groupmap)):
+        raise MalformedDump("groupmap must give one integer SL group per switch")
+    engine, vlshift = header[0][1], fields.get("vlshift")
     if vlshift not in (None, "off"):
         raise MalformedDump(f"vlshift {vlshift!r}: the only value is off")
-    if vlshift and header["engine"] != "dla":
-        raise MalformedDump(f"vlshift off does not match the tables: engine "
-                            f"{header['engine']} has no VL shift")
+    if vlshift and engine != "dla":
+        raise MalformedDump(
+            f"vlshift off does not match the tables: engine {engine} has no VL shift")
 
-    config = RoutingConfig(
-        engine=header["engine"],
-        lft=lft_lists,
-        sl2vl=sl2vl_lists,
-        sl_groups=sl_groups,
-        vl_shift_disabled=vlshift == "off",
-    )
-    want = _dump_header(config)
-    for key in ("sls", "vls", "slpolicy", "groupmap"):
-        if header.get(key) != want.get(key):
-            raise MalformedDump(
-                f"{key} {header.get(key, '(missing)')} does not match the tables, "
-                f"which give {want.get(key, 'no ' + key)}"
-            )
+    config = RoutingConfig(engine=engine, lft=lft, sl2vl=sl2vl,
+                           sl_groups=tuple(map(int, groupmap)), vl_shift_disabled=vlshift == "off")
+    want = list(_dump_header(config).items())
+    if header != want:
+        got, give = next(p for p in zip_longest(header, want, fillvalue=("none",)) if p[0] != p[1])
+        raise MalformedDump(f"header record {' '.join(got)} does not match the tables, "
+                            f"which give {' '.join(give)}")
     return config

@@ -16,6 +16,10 @@ class TrafficPattern:
 
     name = "base"
 
+    def check_fit(self, num_endnodes: int):
+        """Raise InvalidParams unless bind() fits num_endnodes; builds none of its tables."""
+        raise NotImplementedError
+
     def bind(self, num_endnodes: int, seed: int) -> "TrafficPattern":
         raise NotImplementedError
 
@@ -38,9 +42,12 @@ class UniformTraffic(TrafficPattern):
 
     name = "uniform"
 
-    def bind(self, num_endnodes, seed):
+    def check_fit(self, num_endnodes):
         if num_endnodes < 2:
             raise InvalidParams("uniform traffic needs at least 2 endnodes")
+
+    def bind(self, num_endnodes, seed):
+        self.check_fit(num_endnodes)
         self.n = num_endnodes
         return self
 
@@ -82,12 +89,18 @@ class Stencil3dTraffic(TrafficPattern):
             raise InvalidParams(f"stencil dims must be three positive integers, got {dims}")
         self.dims = dims
 
-    def bind(self, num_endnodes, seed):
-        self.n = num_endnodes
+    def check_fit(self, num_endnodes):
+        """The grid dims: the given ones, else the most-cubic factorization."""
         dims = self.dims or _cubish_dims(num_endnodes)
         if dims[0] * dims[1] * dims[2] != num_endnodes:
             raise InvalidParams(f"dims {dims} do not factor {num_endnodes} endnodes")
-        self.dims = dims
+        if num_endnodes == 1:  # a 1x1x1 grid: every step wraps back to the source
+            raise InvalidParams("stencil grid degenerates to self-sends only")
+        return dims
+
+    def bind(self, num_endnodes, seed):
+        self.n = num_endnodes
+        self.dims = dims = self.check_fit(num_endnodes)
         dx, dy, dz = dims
         self.neighbors = []
         for e in range(num_endnodes):
@@ -102,8 +115,6 @@ class Stencil3dTraffic(TrafficPattern):
                     t = (c[0] * dy + c[1]) * dz + c[2]
                     if t != e:
                         nbrs.append(t)
-            if not nbrs:
-                raise InvalidParams("stencil grid degenerates to self-sends only")
             self.neighbors.append(nbrs)
         return self
 
@@ -127,8 +138,8 @@ class HotspotTraffic(TrafficPattern):
             raise InvalidParams(f"hot-spot fraction must be in (0, 1], got {fraction}")
         self.fraction = fraction
 
-    def bind(self, num_endnodes, seed):
-        self.n = num_endnodes
+    def check_fit(self, num_endnodes):
+        """(hot sources, victims): floor(fraction*N) and floor(log2 of that)."""
         h_s = math.floor(self.fraction * num_endnodes)
         if h_s < 1:
             raise InvalidParams(
@@ -137,6 +148,11 @@ class HotspotTraffic(TrafficPattern):
         h_d = math.floor(math.log2(h_s))
         if h_d < 1:
             raise InvalidParams(f"hot-spot degenerates: h_s={h_s} gives no victims")
+        return h_s, h_d
+
+    def bind(self, num_endnodes, seed):
+        self.n = num_endnodes
+        h_s, h_d = self.check_fit(num_endnodes)
         setup = random.Random(seed * 2 + _SEED_MIX)
         hot = set(setup.sample(range(num_endnodes), h_s))
         self.victims = tuple(sorted(setup.sample(range(num_endnodes), h_d)))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -309,6 +310,23 @@ def test_sweep_gates_large_fabrics(tmp_path, capsys):
     manifest = _write_manifest(tmp_path, big)
     assert main(["sweep", str(manifest), "--out-dir", str(tmp_path / "o")]) == 2
     assert "--large" in capsys.readouterr().err
+
+
+def test_sweep_gates_a_large_row_without_building_its_pattern(tmp_path, capsys):
+    # 90,300 endnodes: binding the stencil to the fabric while parsing peaked at 28.9 MB
+    huge = ("version=1\n\nparams=30,10,10\nengine=dla\nvoq=on\nbuffer=4\n"
+            "pattern=stencil3d\nloads=0.1\nseeds=1\n")
+    tracemalloc.start()
+    try:
+        assert parse_manifest(huge).rows[0].params.num_endnodes == 90_300
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    manifest = _write_manifest(tmp_path, huge)
+    assert main(["sweep", str(manifest), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "rows 1 exceed 400 endnodes" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_manifest_parser_rejects_garbage():

@@ -447,8 +447,9 @@ def test_fabric_dumps_hold_their_pinned_digests(endnodes):
     for variant in ("dla", "dla-noshift", "d3r", "updn"):
         config = synthesize(topo, variant.removesuffix("-noshift"),
                             vl_shift=variant != "dla-noshift")
-        digest = hashlib.sha256(emit_fabric_dump(config).encode()).hexdigest()
-        assert digest == PINNED_DUMPS[endnodes, variant], variant
+        text = emit_fabric_dump(config)
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DUMPS[endnodes, variant], variant
+        assert emit_fabric_dump(parse_fabric_dump(text)) == text, variant
 
 
 # -- fabric dump round trip ---------------------------------------------------
@@ -518,6 +519,42 @@ def test_tables_that_do_not_fit_the_topology_are_rejected(config_shape, topo_sha
             call()
         assert "6 switches, 6 endnodes, radix 3" in str(err.value)
         assert "36 switches, 72 endnodes, radix 7" in str(err.value)
+
+
+def _dup_and_swap_mutants(text):
+    """Each line duplicated in place, and each swap of two adjacent distinct lines."""
+    lines = text.splitlines()
+    for i in range(len(lines)):
+        yield f"duplicate line {i + 1}", lines[:i + 1] + lines[i:]
+    for i in range(len(lines) - 1):
+        if lines[i] != lines[i + 1]:
+            yield f"swap lines {i + 1}, {i + 2}", lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2:]
+
+
+@pytest.mark.parametrize("shape, variant", [("2,1,1", "dla"), ("2,1,1", "d3r"),
+                                            ("2,1,1", "dla-noshift"), ("1,1,1,2", "updn")])
+def test_parse_refuses_repeated_and_reordered_records(shape, variant):
+    # the records are read in emit order, so no repeat can overwrite an earlier record
+    config = synthesize(build_topology(DragonflyParams.parse(shape)),
+                        variant.removesuffix("-noshift"), vl_shift=variant != "dla-noshift")
+    for what, lines in _dup_and_swap_mutants(emit_fabric_dump(config)):
+        with pytest.raises(MalformedDump):
+            parse_fabric_dump("\n".join(lines) + "\n")
+            pytest.fail(f"{variant} dump with {what} was accepted")
+
+
+def test_parse_refuses_a_second_lid_record_with_another_port():
+    text = emit_fabric_dump(synthesize(build_topology(DragonflyParams(2, 1, 1)), "dla"))
+    assert "lid 3 port 2" in text.splitlines()
+    with pytest.raises(MalformedDump, match="expected lid 4"):
+        parse_fabric_dump(text.replace("lid 3 port 2\n", "lid 3 port 2\nlid 3 port 0\n", 1))
+
+
+def test_parse_refuses_an_engine_record_after_the_switches():
+    # read last-wins, this gave an updn config that kept dla's VL-1 turns
+    text = emit_fabric_dump(synthesize(build_topology(DragonflyParams(2, 1, 1)), "dla"))
+    with pytest.raises(MalformedDump, match="engine record after the switch records"):
+        parse_fabric_dump(text + "engine updn\n")
 
 
 def test_parse_rejects_structural_damage():
