@@ -53,15 +53,44 @@ class DeadlockReport:
         return "\n".join(lines)
 
 
+def _in_row_classes(hosts, table) -> list[list[tuple[int, int]]]:
+    """Split one switch's (endnode, attach port) pairs, kept in order, into the
+    classes whose SL2VL in-rows are equal on every output port. The members of
+    a class take the same route from the first hop on, toward every destination."""
+    classes: list[tuple[object, list[tuple[int, int]]]] = []  # (in-rows, members)
+    for src, ip in hosts:
+        try:
+            rows = [per_op[ip] for per_op in table]
+        except (LookupError, TypeError):  # a table the walk fails on: the source walks alone
+            rows = object()
+        for key, members in classes:
+            if key == rows:
+                members.append((src, ip))
+                break
+        else:
+            classes.append((rows, [(src, ip)]))
+    return [members for _, members in classes]
+
+
 def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGraph:
     """Collect the direct dependencies of all N(N-1) routes, per destination class.
 
     A class is the endnodes on one switch whose LFT columns agree on every
     other switch. The SL depends only on the source and destination switches,
-    so the routes toward a class form one in-forest up to that switch. Each
-    source walks toward the class, in ascending order, until it reaches a
-    (channel, VL, SL) state the class has seen, and fans out to every member's
-    terminal channel at that switch.
+    so the routes toward a class form one in-forest up to that switch. The
+    endnodes of one source switch whose SL2VL in-rows agree on every output
+    differ only in their injection channel, so one walk per such in-row class
+    covers them all: source switches go in ascending order, and each in-row
+    class walks from its first endnode toward the destination class until it
+    reaches a (channel, VL, SL) state the destination class has seen. The
+    endnodes on the destination switch itself each fan out to every member's
+    terminal channel there.
+
+    Every other endnode's injection edge is added after all walks: each source
+    switch records, for each first (out port, SL), the smallest destination
+    whose route leaves it there, and the edge from each endnode's injection
+    channel to that first vertex gets the pair of the endnode and that
+    destination.
 
     Equal to walking every pair with route_walk: the same vertices and edges,
     each edge's witness the smallest (src, dst) pair in src-major order whose
@@ -82,51 +111,63 @@ def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGra
             out_code[node][port] = ch.cid << 4
         else:
             inj[node] = (ch.cid, 0)
-    start = [(topology.switch_of(e), topology.attach_port(e)) for e in range(n)]
+    hosts: list[list[tuple[int, int]]] = [[] for _ in peer]  # [switch] -> (endnode, attach port)
+    for e in range(n):
+        hosts[topology.switch_of(e)].append((e, topology.attach_port(e)))
+    leads, followers = [], []  # [switch] -> each in-row class's first endnode; the others
+    for s, on_s in enumerate(hosts):
+        classes = _in_row_classes(on_s, sl2vl[s])
+        leads.append([members[0] for members in classes])
+        followers.append([host for members in classes for host in members[1:]])
+    first_hop: list[dict[int, int]] = [{} for _ in peer]  # out port << 4 | SL -> smallest dst
     vertex: dict[int, Vertex] = {cid << 4: (cid, vl) for cid, vl in inj}
     witness: dict = {}  # (u, v) -> src * n + dst of the smallest pair seen so far
 
     def walk(dsw, members, col, slrow):
-        """Walk every source toward one class; return its smallest failing pair."""
+        """Walk every in-row class toward one class; return its smallest failing pair."""
         seen: dict[int, int] = {}  # in-vertex code << 4 | SL -> first source there
         table = sl2vl[dsw]
         fan = [(m, port, out_code[dsw][port]) for m, port in members]
         m0 = members[0][0]
-        for src in range(n):
-            cur, ip = start[src]
-            sl = slrow[cur]
-            ut = inj[src]
-            pair = src * n + m0
-            try:
-                while cur != dsw:
-                    op = col[cur]
-                    v = out_code[cur][op] | sl2vl[cur][op][ip][sl]
-                    vt = vertex.get(v) or vertex.setdefault(v, (v >> 4, v & 15))
-                    w = witness.get((ut, vt))
-                    if w is None or pair < w:
-                        witness[(ut, vt)] = pair
-                    nxt = peer[cur][op]
-                    if nxt[0] != "s":
-                        return pair  # delivered off the destination switch
-                    state = v << 4 | sl
-                    first = seen.get(state)
-                    if first is not None:
-                        if first == src:
-                            return pair  # back at a state of its own walk: a loop
-                        break
-                    seen[state] = src
-                    cur, ip, ut = nxt[1], nxt[2], vt
-                else:
-                    for m, port, code in fan:
-                        if m != src:
-                            pair = src * n + m
-                            v = code | table[port][ip][sl]
-                            vt = vertex.get(v) or vertex.setdefault(v, (v >> 4, v & 15))
-                            w = witness.get((ut, vt))
-                            if w is None or pair < w:
-                                witness[(ut, vt)] = pair
-            except (LookupError, TypeError):  # a port or SL2VL entry the fabric lacks
-                return pair
+        for s, sl in enumerate(slrow):
+            for src, ip in hosts[s] if s == dsw else leads[s]:
+                cur = s
+                ut = inj[src]
+                pair = src * n + m0
+                try:
+                    while cur != dsw:
+                        op = col[cur]
+                        v = out_code[cur][op] | sl2vl[cur][op][ip][sl]
+                        vt = vertex.get(v) or vertex.setdefault(v, (v >> 4, v & 15))
+                        w = witness.get((ut, vt))
+                        if w is None or pair < w:
+                            witness[(ut, vt)] = pair
+                        nxt = peer[cur][op]
+                        if nxt[0] != "s":
+                            return pair  # delivered off the destination switch
+                        state = v << 4 | sl
+                        first = seen.get(state)
+                        if first is not None:
+                            if first == src:
+                                return pair  # back at a state of its own walk: a loop
+                            break
+                        seen[state] = src
+                        cur, ip, ut = nxt[1], nxt[2], vt
+                    else:
+                        for m, port, code in fan:
+                            if m != src:
+                                pair = src * n + m
+                                v = code | table[port][ip][sl]
+                                vt = vertex.get(v) or vertex.setdefault(v, (v >> 4, v & 15))
+                                w = witness.get((ut, vt))
+                                if w is None or pair < w:
+                                    witness[(ut, vt)] = pair
+                except (LookupError, TypeError):  # a port or SL2VL entry the fabric lacks
+                    return pair
+            if s != dsw:  # the followers leave s where its leads did
+                firsts, key = first_hop[s], col[s] << 4 | sl
+                if m0 < firsts.get(key, n):
+                    firsts[key] = m0
         return None
 
     bad = []  # the smallest failing pair of each class that has one
@@ -153,10 +194,26 @@ def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGra
         route_walk(topology, config, src, dst)  # raises for every pair the walk gave up on
         raise RoutingLoop((src, dst))
 
+    # the followers' injection edges: each leaves its switch on its lead's first vertex
+    for s, firsts in enumerate(first_hop):
+        for key, m in firsts.items():
+            op, sl = key >> 4, key & 15
+            code, per_op = out_code[s][op], sl2vl[s][op]
+            for src, ip in followers[s]:
+                ut, vt = inj[src], vertex[code | per_op[ip][sl]]
+                pair = src * n + m
+                w = witness.get((ut, vt))
+                if w is None or pair < w:
+                    witness[(ut, vt)] = pair
+
     succ: dict[Vertex, set[Vertex]] = {}
-    for (u, v), pair in witness.items():
-        succ.setdefault(u, set()).add(v)
-        witness[(u, v)] = divmod(pair, n)
+    for u, v in witness:
+        if u in succ:
+            succ[u].add(v)
+        else:
+            succ[u] = {v}
+    for key, pair in witness.items():
+        witness[key] = divmod(pair, n)
     return ChannelDependencyGraph(vertices=set(vertex.values()), succ=succ, witness=witness)
 
 

@@ -521,6 +521,7 @@ def emit_fabric_dump(config: RoutingConfig) -> str:
     """Deterministic text dump of LFT and SL2VL tables; see parse_fabric_dump."""
     out = [f"{key} {value}" for key, value in _dump_header(config).items()]
     radix = config.radix
+    texts: dict[tuple[int, ...], str] = {}  # each distinct row formatted once
     for s in range(config.num_switches):
         out.append(f"switch {s}")
         row = config.lft[s]
@@ -528,8 +529,11 @@ def emit_fabric_dump(config: RoutingConfig) -> str:
             out.append(f"lid {dst} port {row[dst]}")
         for op in range(radix):
             for ip in range(radix):
-                vls = " ".join(str(v) for v in config.sl2vl[s][op][ip])
-                out.append(f"sl2vl out {op} in {ip}: {vls}")
+                vls = config.sl2vl[s][op][ip]
+                text = texts.get(vls)
+                if text is None:
+                    text = texts[vls] = " ".join(map(str, vls))
+                out.append(f"sl2vl out {op} in {ip}: {text}")
     return "\n".join(out) + "\n"
 
 
@@ -542,8 +546,9 @@ def parse_fabric_dump(text: str) -> RoutingConfig:
     and the radix. emit(parse(emit(config))) is byte-identical to emit(config).
     Raises MalformedDump on a record that is unknown, repeated, missing or out
     of order, on range errors (VL indices must be < 16, LFT ports below the
-    radix), on a vlshift record other than `vlshift off` on a dla dump, and when
-    the header is not the one emit_fabric_dump writes for the parsed tables.
+    radix), on an engine record that names no engine in ENGINES, on a vlshift
+    record other than `vlshift off` on a dla dump, and when the header is not
+    the one emit_fabric_dump writes for the parsed tables.
     """
     header: list[tuple[str, str]] = []
     lft: list[list[int]] = []
@@ -613,6 +618,8 @@ def parse_fabric_dump(text: str) -> RoutingConfig:
     if len(groupmap) != len(lft) or not all(map(str.isdecimal, groupmap)):
         raise MalformedDump("groupmap must give one integer SL group per switch")
     engine, vlshift = header[0][1], fields.get("vlshift")
+    if engine not in ENGINES:
+        raise MalformedDump(f"engine {engine!r}: the engines are {', '.join(sorted(ENGINES))}")
     if vlshift not in (None, "off"):
         raise MalformedDump(f"vlshift {vlshift!r}: the only value is off")
     if vlshift and engine != "dla":

@@ -1,3 +1,5 @@
+import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -15,7 +17,8 @@ from dflysim import (
     parse_fabric_dump,
     synthesize,
 )
-from dflysim.deadlock import ChannelDependencyGraph, _cycle_core
+from dflysim.deadlock import ChannelDependencyGraph, DeadlockReport, _cycle_core
+from dflysim.routing import MAX_SLS
 from dflysim.simulator import SimConfig
 from dflysim.topology import TERMINAL
 
@@ -394,20 +397,96 @@ def test_corrupted_lft_fails_like_the_oracle(params, variant, data):
     assert _outcome(build_cdg, topo, config) == _outcome(brute_force_cdg, topo, config)
 
 
+@settings(max_examples=60, deadline=None)
+@given(params=_fabrics(max_endnodes=40), variant=st.sampled_from(VARIANTS), data=st.data())
+def test_sl2vl_in_rows_that_differ_by_attach_port_match_the_oracle(params, variant, data):
+    """A fresh random SL2VL row for every (switch, out, in), so the endnodes of
+    one switch split into several in-row classes. Each attach port after the
+    first draws its own rows or copies an earlier attach port's as equal new
+    tuples, and may then redraw the row of one out port. The rows vary in SLs
+    0 and 1, the ones routes use, so two ports often agree on some out ports
+    and not on others. Some LFT entries are broken too, first hops included."""
+    topo = build_topology(params)
+    config = _config(topo, variant)
+    rng = data.draw(st.randoms(use_true_random=False))
+    vls = rng.choice((1, 2, 3, MAX_SLS))
+    radix, p = params.radix, params.p
+
+    def row():
+        return (rng.randrange(vls), rng.randrange(vls)) + (0,) * (MAX_SLS - 2)
+
+    config.sl2vl = []
+    for _ in range(topo.num_switches):
+        by_in = [[row() for _ in range(radix)] for _ in range(radix)]  # [in port][out port]
+        for ip in range(1, p):  # attach ports are 0..p-1
+            like = rng.randrange(ip + 1)
+            if like < ip:
+                by_in[ip] = [tuple(list(vl_row)) for vl_row in by_in[like]]
+                if rng.random() < 0.5:
+                    by_in[ip][rng.randrange(radix)] = row()
+        config.sl2vl.append([[by_in[ip][op] for ip in range(radix)] for op in range(radix)])
+    for _ in range(data.draw(st.integers(0, 2))):
+        s = data.draw(st.integers(0, topo.num_switches - 1))
+        d = data.draw(st.integers(0, topo.num_endnodes - 1))
+        config.lft[s][d] = data.draw(st.integers(0, radix))
+    assert _outcome(build_cdg, topo, config) == _outcome(brute_force_cdg, topo, config)
+
+
 # -- scale ---------------------------------------------------------------------
 
-def _assert_engines_acyclic(params):
+# sha256 over the sorted (u, v, witness) triples of each engine's CDG at 1056
+# endnodes, recorded from the builder that walked from every source endnode.
+PINNED_CDGS = {
+    "dla": "2728aa76436022d28505c4c83b3e200d4f82845a648bbea716c39b0f7a831cab",
+    "d3r": "957cc1faa03d8a6840573d623dcfa234222e7ff09db5b0857e300846587a1773",
+    "updn": "bb74f682610b829a1c302c69ff0da1935881f4777b7a8528050700bc76b0abbc",
+}
+
+
+def _cdg_digest(cdg) -> str:
+    triples = sorted((u, v, w) for (u, v), w in cdg.witness.items())
+    return hashlib.sha256(repr(triples).encode()).hexdigest()
+
+
+def _assert_engines_acyclic(params) -> dict[str, str]:
+    """Prove each engine's CDG acyclic twice over and return its digest. The
+    build may hold at most 10 % more memory at its peak than the graph keeps."""
     topo = build_topology(params)
+    digests = {}
     for engine in ("dla", "d3r", "updn"):
         config = synthesize(topo, engine)
-        cdg = build_cdg(topo, config)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cdg = build_cdg(topo, config)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 1.10 * (kept - before), engine
         report = check_deadlock_free(cdg)
         assert report.acyclic and report == tarjan_deadlock_report(cdg), engine
         assert descending_edges(cdg, channel_numbering(topo, config)) == [], engine
+        digests[engine] = _cdg_digest(cdg)
+    return digests
 
 
 def test_engines_acyclic_at_1056_endnodes():
-    _assert_engines_acyclic(DragonflyParams(8, 4, 4))
+    assert _assert_engines_acyclic(DragonflyParams(8, 4, 4)) == PINNED_CDGS
+
+
+# the shift-disabled dla witness at 342 endnodes, recorded from the builder
+# that walked from every source endnode
+PINNED_NOSHIFT_REPORT_342 = DeadlockReport(
+    acyclic=False,
+    cycle=((684, 0), (1256, 0), (744, 0), (1291, 0), (715, 0), (1255, 0)),
+    inducing_flows=((0, 36), (0, 39), (36, 18), (36, 18), (21, 0), (18, 3)),
+)
+
+
+def test_shift_disabled_dla_witness_at_342_endnodes_is_pinned():
+    topo = build_topology(DragonflyParams(6, 3, 3))
+    cdg = build_cdg(topo, synthesize(topo, "dla", vl_shift=False))
+    assert check_deadlock_free(cdg) == PINNED_NOSHIFT_REPORT_342
 
 
 @pytest.mark.slow

@@ -557,6 +557,13 @@ def test_parse_refuses_an_engine_record_after_the_switches():
         parse_fabric_dump(text + "engine updn\n")
 
 
+def test_parse_refuses_an_engine_outside_the_registry():
+    # accepted before, it gave a config that every later check took on trust
+    text = emit_fabric_dump(synthesize(build_topology(DragonflyParams(2, 1, 1)), "dla"))
+    with pytest.raises(MalformedDump, match="engine 'bogus': the engines are d3r, dla, updn"):
+        parse_fabric_dump(text.replace("engine dla", "engine bogus", 1))
+
+
 def test_parse_rejects_structural_damage():
     topo = build_topology(DragonflyParams(1, 1, 1, 2))
     text = emit_fabric_dump(synthesize(topo, "dla"))
