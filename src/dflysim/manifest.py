@@ -194,26 +194,32 @@ def parse_manifest(text: str) -> Manifest:
     return Manifest(rows=rows, output_dir=header.get("output_dir"), manifest_hash=manifest_hash)
 
 
+def _already_done(row: ManifestRow, out_dir: str) -> bool:
+    """True when the row's JSON output exists with the same row hash, was written
+    by this tool version (a model change bumps __version__), and its CSV exists."""
+    base = os.path.join(out_dir, row.basename())
+    try:
+        with open(base + ".json") as fh:
+            prior = json.load(fh)
+        return (prior.get("row_hash") == row.row_hash
+                and prior.get("tool") == f"dflysim/{__version__}"
+                and os.path.exists(base + ".csv"))
+    except (OSError, ValueError, AttributeError):  # missing or unreadable: run again
+        return False
+
+
 def run_row(row: ManifestRow, out_dir: str, manifest_hash: str, force: bool = False) -> str:
     """Execute one manifest row; returns 'done' or 'skipped'.
 
-    Writes <basename>.csv and <basename>.json atomically. Skips the row when
-    its JSON output already exists with the same row hash and was written by
-    this tool version (resume semantics; a model change bumps __version__).
+    Writes <basename>.csv and <basename>.json atomically. Skips the row, unless
+    forced, when a run of this tool version has already written both (resume
+    semantics).
     """
+    if not force and _already_done(row, out_dir):
+        return "skipped"
     base = os.path.join(out_dir, row.basename())
     json_path, csv_path = base + ".json", base + ".csv"
     tool = f"dflysim/{__version__}"
-    if not force and os.path.exists(json_path):
-        try:
-            with open(json_path) as fh:
-                prior = json.load(fh)
-            if (prior.get("row_hash") == row.row_hash and prior.get("tool") == tool
-                    and os.path.exists(csv_path)):
-                return "skipped"
-        except (OSError, json.JSONDecodeError, AttributeError):  # unreadable: run again
-            pass
-
     topo = build_topology(row.params)
     routing = synthesize(topo, row.engine)
     runs = []
@@ -282,19 +288,23 @@ def run_manifest(manifest: Manifest, out_dir: str, jobs: int = 1, force: bool = 
                  log=print) -> list[tuple[int, str, str]]:
     """Run every row; returns [(row index, status, detail)] in row order.
 
-    Rows run in min(jobs, rows) worker processes, or in this process when
-    that is 1: a pool may start all its workers at once, rows or not.
+    Rows already done are skipped first, here. The rest run in min(jobs,
+    rows to run) worker processes, or in this process when that is 1: a pool
+    may start all its workers at once, rows or not.
     """
     if jobs < 1:
         raise InvalidParams(f"jobs must be at least 1, got {jobs}")
     os.makedirs(out_dir, exist_ok=True)
-    tasks = [(row, out_dir, manifest.manifest_hash, force) for row in manifest.rows]
+    done = {row.index for row in manifest.rows if not force and _already_done(row, out_dir)}
+    tasks = [(row, out_dir, manifest.manifest_hash, True)
+             for row in manifest.rows if row.index not in done]
     workers = min(jobs, len(tasks))
     if workers <= 1:
-        statuses = [_row_task(t) for t in tasks]
+        ran = [_row_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            statuses = list(pool.map(_row_task, tasks))
+            ran = list(pool.map(_row_task, tasks))
+    statuses = sorted(ran + [(index, "skipped", "") for index in done])
     for index, status, detail in statuses:
         row = manifest.rows[index - 1]
         note = f" ({detail})" if detail else ""

@@ -16,9 +16,10 @@ a grouping from the bare switch graph (closed neighborhoods / maximal cliques).
 
 from __future__ import annotations
 
+import struct
 from collections import deque
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from operator import itemgetter
 
 from .errors import (InvariantViolation, MalformedDump, NotADragonfly, RoutingLoop,
@@ -230,9 +231,9 @@ class RoutingConfig:
         return sls, max_vl + 1
 
 
-def check_shape(topology: Topology, config: RoutingConfig) -> None:
-    """Raise UnsupportedTopology unless the tables fit the topology's switch
-    count, endnode count and radix."""
+def _check_size(topology: Topology, config: RoutingConfig) -> None:
+    """Raise UnsupportedTopology unless the switch count, and the endnode count
+    and radix of switch 0's tables, are the topology's."""
     want = (topology.num_switches, topology.num_endnodes, topology.params.radix)
     got = (config.num_switches, config.num_endnodes, config.radix)
     if got != want:
@@ -240,6 +241,30 @@ def check_shape(topology: Topology, config: RoutingConfig) -> None:
             "routing tables for {} switches, {} endnodes, radix {} do not fit a "
             "topology of {} switches, {} endnodes, radix {}".format(*got, *want)
         )
+
+
+def check_shape(topology: Topology, config: RoutingConfig) -> None:
+    """Raise UnsupportedTopology unless every switch's tables fit the topology:
+    an LFT entry per endnode, and one SL2VL table per switch with a row per (out
+    port, in port) pair below the radix, each with an entry per SL. A table
+    shared by several switches is checked once."""
+    if len(config.sl2vl) != len(config.lft):
+        raise UnsupportedTopology(
+            f"{len(config.sl2vl)} SL2VL tables for {len(config.lft)} switches")
+    _check_size(topology, config)
+    n, radix = topology.num_endnodes, topology.params.radix
+    for s, row in enumerate(config.lft):
+        if len(row) != n:
+            raise UnsupportedTopology(f"switch {s}: LFT has {len(row)} entries for {n} endnodes")
+    checked = set()
+    for s, table in enumerate(config.sl2vl):
+        if id(table) not in checked:
+            checked.add(id(table))
+            if (len(table) != radix or set(map(len, table)) != {radix}
+                    or set(map(len, chain.from_iterable(table))) != {MAX_SLS}):
+                raise UnsupportedTopology(
+                    f"switch {s}: SL2VL table is not {MAX_SLS} VLs per (out, in) port "
+                    f"pair of radix {radix}")
 
 
 def _dla_vl(op_kind: str, ip_kind: str) -> int:
@@ -370,7 +395,7 @@ def route_walk(topology: Topology, config: RoutingConfig, src: int, dst: int):
     re-assigns the VL through its SL2VL table. Raises RoutingLoop if the LFT
     does not deliver within num_switches hops.
     """
-    check_shape(topology, config)
+    _check_size(topology, config)
     cur = topology.switch_of(src)
     sl = config.sl(cur, topology.switch_of(dst))
     ip = topology.attach_port(src)
@@ -393,8 +418,8 @@ def route_walk(topology: Topology, config: RoutingConfig, src: int, dst: int):
 # engines
 # ---------------------------------------------------------------------------
 
-def _updn_next_port(topology: Topology):
-    """Switch-level next-output-port table for up*/down* routing on a BFS
+def _updn_next_port(topology: Topology) -> list[list[int]]:
+    """Switch-level next-output-port rows for up*/down* routing on a BFS
     spanning tree rooted at the lowest switch id.
 
     Links are oriented by (tree level, switch id); a route may climb zero or
@@ -402,6 +427,15 @@ def _updn_next_port(topology: Topology):
     back up. Per destination, every switch with an all-down path commits to the
     shortest one; the rest climb toward the cheapest committed switch. This
     keeps destination-based forwarding consistent with the up*/down* rule.
+
+    Each switch works on destination sets, ints with bit d set for destination
+    switch d. cost[v][c] holds the destinations v reaches at cost c hops and
+    via[v][u] those v forwards to neighbour u. Pass 1 takes switches down-
+    neighbours first and builds each one's all-down rings: ring k is its down-
+    neighbours' ring k - 1 less its earlier rings. Pass 2 takes switches up-
+    neighbours first: each destination outside every ring costs one more than
+    the least cost among the up-neighbours. Either pass gives a destination to
+    the lowest-id neighbour that holds it at the least cost.
     """
     adj = topology.switch_adjacency()
     S = topology.num_switches
@@ -421,40 +455,69 @@ def _updn_next_port(topology: Topology):
     def rank(v):
         return (level[v], v)
 
-    up_nbrs = [[u for u in adj[v] if rank(u) < rank(v)] for v in range(S)]
+    up_nbrs = [sorted(u for u in adj[v] if rank(u) < rank(v)) for v in range(S)]
+    down_nbrs = [sorted(u for u in adj[v] if rank(u) > rank(v)) for v in range(S)]
     by_rank = sorted(range(S), key=rank)
-    port_to = [{u: ports[0] for u, ports in adj[v].items()} for v in range(S)]  # lowest port
 
-    np_table = [[-1] * S for _ in range(S)]
-    for d in range(S):
-        # key[v] = S * hops + v, where hops is v's hop count to d; -1 until known.
-        # A reverse BFS from d climbs toward lower ranks and finds every switch
-        # with an all-down path; each layer is scanned in id order, so a switch
-        # first found from cur descends to the smallest cur one hop closer.
-        key = [-1] * S
-        key[d] = d
-        cost_of = key.__getitem__
-        layer, hops = [d], 0
-        while layer:
-            hops += 1
-            found = []
-            for cur in layer:
-                for x in up_nbrs[cur]:
-                    if key[x] < 0:
-                        key[x] = hops * S + x
-                        np_table[x][d] = port_to[x][cur]
-                        found.append(x)
-            found.sort()
-            layer = found
-        # The rest climb to the up neighbor of least (cost, id); by_rank puts
-        # every up neighbor first.
-        for v in by_rank:
-            if key[v] < 0:
-                k = min(map(cost_of, up_nbrs[v]))
-                nh = k % S
-                key[v] = k - nh + S + v
-                np_table[v][d] = port_to[v][nh]
-    return np_table
+    cost: list[list[int]] = [[] for _ in range(S)]
+    via: list[dict[int, int]] = [{} for _ in range(S)]
+    for v in reversed(by_rank):  # pass 1: the rings
+        rings, to = cost[v], via[v]
+        ring = seen = 1 << v
+        while ring:
+            rings.append(ring)
+            k, ring = len(rings) - 1, 0
+            for u in down_nbrs[v]:
+                cu = cost[u]
+                if k < len(cu):
+                    new = cu[k] & ~seen
+                    if new:
+                        seen |= new
+                        ring |= new
+                        to[u] = to.get(u, 0) | new
+    full = (1 << S) - 1
+    for v in by_rank:  # pass 2: the climbs
+        cv, to = cost[v], via[v]
+        rest, c = full - sum(cv), 0  # outside every ring; the rings are disjoint
+        while rest:
+            got = 0
+            for u in up_nbrs[v]:
+                cu = cost[u]
+                if c < len(cu):
+                    new = cu[c] & rest
+                    if new:
+                        rest ^= new
+                        got |= new
+                        to[u] = to.get(u, 0) | new
+            c += 1
+            if got:
+                cv.extend([0] * (c + 1 - len(cv)))
+                cv[c] |= got
+
+    # Pack each row from its per-neighbour sets: destination d's port sits in
+    # byte lane d, wide enough for every port below the radix.
+    lane = 1
+    while topology.params.radix > 256 ** lane:
+        lane *= 2
+    unpack = struct.Struct(f"<{S}{'BHIQ'[lane.bit_length() - 1]}").unpack
+    digits = f"0{S}b"
+    lanes = bytearray(S * lane)
+    lanes[lane - 1::lane] = b"0" * S
+    zero = int.from_bytes(lanes, "big")  # ord("0") in every lane
+
+    def spread(dests: int) -> int:
+        """The set with bit d moved to the low bit of lane d."""
+        lanes[lane - 1::lane] = format(dests, digits).encode()
+        return int.from_bytes(lanes, "big") - zero
+
+    rows = []
+    for v in range(S):
+        ports = adj[v]
+        packed = sum(ports[u][0] * spread(dests) for u, dests in via[v].items())
+        row = list(unpack(packed.to_bytes(S * lane, "little")))
+        row[v] = -1
+        rows.append(row)
+    return rows
 
 
 # What differs between engines: (minimal Dragonfly routes, else up*/down*;

@@ -63,7 +63,7 @@ _CREDIT_PS = int(round(CREDIT_LATENCY_S * _PS))
 _E_SLOT = 0
 _E_HCA = 1       # HCA a: b credits (0 or 1) come back, then try to inject
 _E_ENQ = 2
-_E_ARB = 3       # switch a, output b: a credit on VL c comes back if c >= 0, then arbitrate
+_E_CREDIT = 3    # switch a, output b: a credit on VL c comes back, then arbitrate
 _E_RELEASE = 4
 
 
@@ -240,7 +240,10 @@ class _FabricSim:
 
         Every table the hot path reads is bound to a local, and `arb` runs
         only for an output that is idle and has a pending head: any other
-        call could not grant.
+        call could not grant. Each switch gets one release per time: grants
+        at t all free their input and output at t + PACKET_PS, and the first
+        release then tries every idle output once; from there on, each event
+        that can let an output grant arbitrates that output itself.
         """
         cfg = self.cfg
         topo = cfg.topology
@@ -260,6 +263,7 @@ class _FabricSim:
         end = warm + cfg.measure_ps
         fifos, occ, credits = self.fifos, self.occ, self.credits
         in_busy, out_busy, pending, rr_last = self.in_busy, self.out_busy, self.pending, self.rr_last
+        release_at = [0] * topo.num_switches  # the last release time scheduled per switch
         hca_q, hca_busy, hca_credit = self.hca_q, self.hca_busy, self.hca_credit
         measured_by_dst = self.measured_by_dst
         injected = delivered = in_fabric = 0
@@ -310,15 +314,13 @@ class _FabricSim:
             busy[ip] = t_free
             rr_last[s][op] = key
 
-            # under VOQ the next head waits for the same output (op2 == op)
+            # the next head waits on input ip, busy until t_free: no output can
+            # grant it before the release at t_free tries every output
             q = fifos[s][ip][vl][op if voq else 0]
             del q[0]
             if q:
                 nxt = q[0]
-                op2 = lft[s][nxt[0]]
-                pending[s][op2][key] = nxt
-                if op2 != op:
-                    at(t, (_E_ARB, s, op2, -1, None))
+                pending[s][lft[s][nxt[0]]][key] = nxt
             occ[s][ip][vl] -= 1
 
             # return the freed slot upstream once our tail has left
@@ -327,9 +329,11 @@ class _FabricSim:
             if up[0] == "h":
                 at(t_free + _CREDIT_PS, (_E_HCA, up[1], 1, -1, None))
             else:
-                at(t_free + _CREDIT_PS, (_E_ARB, up[1], up[2], vl, None))
+                at(t_free + _CREDIT_PS, (_E_CREDIT, up[1], up[2], vl, None))
 
-            at(t_free, (_E_RELEASE, s, op, -1, None))
+            if release_at[s] != t_free:  # one release per switch and time
+                release_at[s] = t_free
+                at(t_free, (_E_RELEASE, s, op, -1, None))
 
             down = ports[op]
             if down[0] == "h":
@@ -344,7 +348,7 @@ class _FabricSim:
                     elif td - last_delivery > max_warm_gap:
                         max_warm_gap = td - last_delivery
                     last_delivery = td
-                at(td + _CREDIT_PS, (_E_ARB, s, op, ovl, None))
+                at(td + _CREDIT_PS, (_E_CREDIT, s, op, ovl, None))
             else:
                 at(t + _LINK_PS + _PIPE_PS, (_E_ENQ, down[1], down[2], ovl, pkt))
 
@@ -382,17 +386,16 @@ class _FabricSim:
                         pend[(b, c)] = d
                         if out_busy[a][op] <= t:
                             arb(a, op, pend, t)
-                elif code == _E_ARB:
-                    if c >= 0:
-                        row = credits[a][b]
-                        row[c] += 1
-                        if row[c] > depth:
-                            raise InvariantViolation("credit over-return")
+                elif code == _E_CREDIT:
+                    row = credits[a][b]
+                    row[c] += 1
+                    if row[c] > depth:
+                        raise InvariantViolation("credit over-return")
                     pend = pending[a][b]
                     if pend and out_busy[a][b] <= t:
                         arb(a, b, pend, t)
                 elif code == _E_RELEASE:
-                    # output b first, then every other output the freed input may
+                    # output b first, then every other output the freed inputs may
                     # feed; a second try of b, with nothing freed, cannot grant
                     pend_s = pending[a]
                     busy = out_busy[a]

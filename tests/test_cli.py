@@ -171,6 +171,21 @@ def test_sweep_reruns_a_row_whose_output_it_cannot_trust(tmp_path, capsys, edit)
     assert first.read_text() == want
 
 
+def test_sweep_reruns_a_row_whose_output_is_not_utf8(tmp_path, capsys):
+    manifest = _write_manifest(tmp_path)
+    out_dir = tmp_path / "out"
+    assert main(["sweep", str(manifest), "--out-dir", str(out_dir)]) == 0
+    first = sorted(out_dir.glob("row01_*.json"))[0]
+    want = first.read_text()
+    first.write_bytes(b"\xff{}")
+    capsys.readouterr()
+    assert main(["sweep", str(manifest), "--out-dir", str(out_dir), "--jobs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert [line.rsplit(": ", 1)[1] for line in out.splitlines() if line.startswith("row ")] \
+        == ["done", "skipped"]
+    assert first.read_text() == want
+
+
 def test_sweep_empty_manifest_is_ok(tmp_path):
     manifest = _write_manifest(tmp_path, "version=1\n")
     out_dir = tmp_path / "out"
@@ -292,6 +307,25 @@ def test_sweep_starts_no_more_workers_than_rows(tmp_path, monkeypatch, capsys, j
     assert main(["sweep", str(manifest), "--out-dir", str(out_dir), "--jobs", str(jobs)]) == 0
     assert _RecordingPool.sizes == ([] if pool is None else [pool])
     assert len(list(out_dir.glob("*.json"))) == 2
+
+
+class _RefusingPool:
+    def __init__(self, max_workers):
+        raise AssertionError("a pool was started with no row to run")
+
+
+def test_resuming_a_complete_sweep_starts_no_pool(tmp_path, monkeypatch, capsys):
+    manifest = _write_manifest(tmp_path)
+    out_dir = tmp_path / "out"
+    assert main(["sweep", str(manifest), "--out-dir", str(out_dir)]) == 0
+    files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    first = capsys.readouterr().out.splitlines()
+    monkeypatch.setattr(manifest_mod, "ProcessPoolExecutor", _RefusingPool)
+    assert main(["sweep", str(manifest), "--out-dir", str(out_dir), "--jobs", "2"]) == 0
+    resumed = capsys.readouterr().out.splitlines()
+    assert resumed == [line.replace(": done", ": skipped") for line in first]
+    assert len(resumed) == 2
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == files
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -421,6 +422,29 @@ def test_synthesize_matches_the_per_pair_reference_at_study_sizes(params, varian
     assert got.sl_groups == want.sl_groups
 
 
+@pytest.mark.parametrize("params", [
+    DragonflyParams(8, 4, 2, 17),   # 136 switches, two global cables per group pair
+    DragonflyParams(2, 1, 254, 3),  # radix 256: the last port still fits one byte
+    DragonflyParams(2, 1, 255, 3),  # radix 257: global port 256 needs a two-byte lane
+], ids=lambda p: p.label())
+def test_updn_matches_the_per_pair_reference_past_64_switches_and_one_byte_ports(params):
+    topo = build_topology(params)
+    assert synthesize(topo, "updn") == reference_synthesize(topo, "updn")
+
+
+# sha256 over the updn LFT rows at 2550 endnodes (10,5,5), each row as bytes,
+# recorded from the per-destination reverse-BFS builder.
+PINNED_UPDN_LFT_2550 = "d72181b0124af2d4db5d687ab6dea23d75847b29c734ffd09a0c771830618008"
+
+
+def test_updn_lft_at_2550_endnodes_holds_its_pinned_digest():
+    config = synthesize(build_topology(DragonflyParams(10, 5, 5)), "updn")
+    digest = hashlib.sha256()
+    for row in config.lft:
+        digest.update(bytes(row))
+    assert digest.hexdigest() == PINNED_UPDN_LFT_2550
+
+
 # sha256 of emit_fabric_dump, recorded from the per-endnode builders that
 # reference_synthesize keeps.
 PINNED_DUMPS = {
@@ -519,6 +543,34 @@ def test_tables_that_do_not_fit_the_topology_are_rejected(config_shape, topo_sha
             call()
         assert "6 switches, 6 endnodes, radix 3" in str(err.value)
         assert "36 switches, 72 endnodes, radix 7" in str(err.value)
+
+
+def _drop_switch3_out_port(config):
+    config.sl2vl[3] = config.sl2vl[3][:-1]
+
+
+def _drop_last_sl2vl_table(config):
+    config.sl2vl = config.sl2vl[:-1]
+
+
+def _shorten_switch3_lft(config):
+    config.lft[3] = config.lft[3][:-1]
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_drop_switch3_out_port, "switch 3: SL2VL table is not 16 VLs per (out, in) port pair of radix 3"),
+    (_drop_last_sl2vl_table, "5 SL2VL tables for 6 switches"),
+    (_shorten_switch3_lft, "switch 3: LFT has 5 entries for 6 endnodes"),
+], ids=lambda v: getattr(v, "__name__", "")[1:])
+def test_tables_that_do_not_fit_past_switch_0_are_rejected(damage, message):
+    # switch 0's tables fit, so a check of switch 0 alone let these through and
+    # build_cdg ended in IndexError
+    topo = build_topology(DragonflyParams(2, 1, 1))
+    config = synthesize(topo, "dla")
+    damage(config)
+    for call in (lambda: SimConfig(topo, config, UniformTraffic()), lambda: build_cdg(topo, config)):
+        with pytest.raises(UnsupportedTopology, match=re.escape(message)):
+            call()
 
 
 def _dup_and_swap_mutants(text):
