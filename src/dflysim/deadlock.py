@@ -57,12 +57,9 @@ def _in_row_classes(hosts, table) -> list[list[tuple[int, int]]]:
     """Split one switch's (endnode, attach port) pairs, kept in order, into the
     classes whose SL2VL in-rows are equal on every output port. The members of
     a class take the same route from the first hop on, toward every destination."""
-    classes: list[tuple[object, list[tuple[int, int]]]] = []  # (in-rows, members)
+    classes: list[tuple[list, list[tuple[int, int]]]] = []  # (in-rows, members)
     for src, ip in hosts:
-        try:
-            rows = [per_op[ip] for per_op in table]
-        except (LookupError, TypeError):  # a table the walk fails on: the source walks alone
-            rows = object()
+        rows = [per_op[ip] for per_op in table]
         for key, members in classes:
             if key == rows:
                 members.append((src, ip))
@@ -95,15 +92,17 @@ def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGra
     Equal to walking every pair with route_walk: the same vertices and edges,
     each edge's witness the smallest (src, dst) pair in src-major order whose
     route holds it, and, if some route never arrives, the error route_walk
-    raises for the smallest such pair (RoutingLoop with .pair for a loop or a
-    misdelivery). Injection channels only source edges and delivery channels
-    only sink them, so terminal channels never close a cycle.
+    raises for the smallest such pair (UnknownChannel at an LFT port with no
+    channel, RoutingLoop with .pair for a loop or a misdelivery). Injection
+    channels only source edges and delivery channels only sink them, so
+    terminal channels never close a cycle.
     """
     check_shape(topology, config)
     n = topology.num_endnodes
     peer, lft, sl2vl = topology.peer, config.lft, config.sl2vl
-    # a vertex code is channel id << 4 | VL: VLs are 4-bit, as parse_fabric_dump checks
-    out_code: list[list[int | None]] = [[None] * len(row) for row in peer]
+    # a vertex code is channel id << 4 | VL: VLs are 4-bit, as check_shape checks.
+    # Only wired ports have a code, so the walk fails on any other LFT port.
+    out_code: list[dict[int, int]] = [{} for _ in peer]
     inj: list[Vertex] = [(0, 0)] * n
     for ch in topology.channels:
         kind, node, port = ch.src
@@ -162,7 +161,7 @@ def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGra
                                 w = witness.get((ut, vt))
                                 if w is None or pair < w:
                                     witness[(ut, vt)] = pair
-                except (LookupError, TypeError):  # a port or SL2VL entry the fabric lacks
+                except KeyError:  # an LFT port with no channel
                     return pair
             if s != dsw:  # the followers leave s where its leads did
                 firsts, key = first_hop[s], col[s] << 4 | sl

@@ -22,7 +22,7 @@ class NotADragonfly(DflyError):
 
 
 class UnsupportedTopology(DflyError):
-    """Routing engine precondition violated (e.g. missing local/global link)."""
+    """A routing precondition fails (tables or grouping that do not fit the topology)."""
 
 
 class MalformedDump(DflyError):

@@ -9,9 +9,9 @@ Three deterministic deadlock-free engines are synthesized from the topology:
 * updn — spanning-tree up*/down* routing, topology agnostic (1 SL, 1 VL).
 
 `synthesize` builds any engine's tables by name; `ENGINES` holds what differs
-between them. The minimal engines route on the topology's grouping, or on one
-the caller passes, and check it against the wiring. `discover_groups` recovers
-a grouping from the bare switch graph (closed neighborhoods / maximal cliques).
+between them. The minimal engines route on the topology's own grouping; a
+grouping the caller passes must relabel to it. `discover_groups` recovers a
+grouping from the bare switch graph (closed neighborhoods / maximal cliques).
 """
 
 from __future__ import annotations
@@ -177,6 +177,7 @@ def discover_groups(graph) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 _ZERO_ROW = (0,) * MAX_SLS
+_VLS = frozenset(range(MAX_SLS))  # a VL is 4 bits, as the CDG's vertex codes assume
 _VL_ROWS = (_ZERO_ROW, (1,) * MAX_SLS)  # every SL to VL 0, every SL to VL 1
 _IDENTITY2_ROW = tuple(sl if sl < 2 else 0 for sl in range(MAX_SLS))
 
@@ -246,8 +247,9 @@ def _check_size(topology: Topology, config: RoutingConfig) -> None:
 def check_shape(topology: Topology, config: RoutingConfig) -> None:
     """Raise UnsupportedTopology unless every switch's tables fit the topology:
     an LFT entry per endnode, and one SL2VL table per switch with a row per (out
-    port, in port) pair below the radix, each with an entry per SL. A table
-    shared by several switches is checked once."""
+    port, in port) pair below the radix, each with an entry per SL, and every
+    entry a VL in 0..15. A table or row shared by several switches or port
+    pairs is checked once."""
     if len(config.sl2vl) != len(config.lft):
         raise UnsupportedTopology(
             f"{len(config.sl2vl)} SL2VL tables for {len(config.lft)} switches")
@@ -260,11 +262,14 @@ def check_shape(topology: Topology, config: RoutingConfig) -> None:
     for s, table in enumerate(config.sl2vl):
         if id(table) not in checked:
             checked.add(id(table))
+            rows = {id(row): row for row in chain.from_iterable(table)}.values()
             if (len(table) != radix or set(map(len, table)) != {radix}
-                    or set(map(len, chain.from_iterable(table))) != {MAX_SLS}):
+                    or set(map(len, rows)) != {MAX_SLS}):
                 raise UnsupportedTopology(
                     f"switch {s}: SL2VL table is not {MAX_SLS} VLs per (out, in) port "
                     f"pair of radix {radix}")
+            if not set(chain.from_iterable(rows)) <= _VLS:
+                raise UnsupportedTopology(f"switch {s}: SL2VL entry outside VLs 0..{MAX_SLS - 1}")
 
 
 def _dla_vl(op_kind: str, ip_kind: str) -> int:
@@ -289,35 +294,6 @@ def check_vl_shift(topology: Topology, config: RoutingConfig) -> None:
 # ---------------------------------------------------------------------------
 # shared synthesis helpers
 # ---------------------------------------------------------------------------
-
-def _minimal_groups(topology: Topology, groups: tuple[int, ...] | None) -> tuple[int, ...]:
-    """The grouping that minimal routes follow, checked against the wiring.
-
-    `groups` is relabeled; without it the topology's own grouping is used.
-    Raises UnsupportedTopology unless the grouping covers the topology's
-    switches, local channels join each group's switches pairwise, and a global
-    channel joins every pair of groups.
-    """
-    group = tuple(topology.switch_group) if groups is None else _relabel(groups)
-    S = topology.num_switches
-    if len(group) != S:
-        raise UnsupportedTopology(
-            f"a grouping of {len(group)} switches does not fit a topology of {S} switches")
-    adj = topology.switch_adjacency()
-    members: list[list[int]] = [[] for _ in range(max(group) + 1)]
-    for s, g in enumerate(group):
-        members[g].append(s)
-    for grp in members:
-        for i, si in enumerate(grp):
-            for sj in grp[i + 1:]:
-                if not any(topology.port_kind(pt) == LOCAL for pt in adj[si].get(sj, ())):
-                    raise UnsupportedTopology(
-                        f"switches {si} and {sj} share a group but no local channel")
-    if not _joins_every_pair(group, ((s, peer) for s in range(S)
-                                     for _, peer, _ in topology.global_ports(s))):
-        raise UnsupportedTopology("some group pair lacks a global channel")
-    return group
-
 
 def _minimal_next_port(topology: Topology, gid: tuple[int, ...]):
     """Switch-level next-output-port rows for minimal Dragonfly routing.
@@ -392,8 +368,9 @@ def route_walk(topology: Topology, config: RoutingConfig, src: int, dst: int):
     """Channel/VL sequence for one endnode pair: [(Channel, vl), ...].
 
     Packets enter on VL 0 (HCA SL2VL is identity to VL 0); each switch output
-    re-assigns the VL through its SL2VL table. Raises RoutingLoop if the LFT
-    does not deliver within num_switches hops.
+    re-assigns the VL through its SL2VL table. Raises UnknownChannel at an LFT
+    port with no channel, and RoutingLoop if the LFT does not deliver within
+    num_switches hops.
     """
     _check_size(topology, config)
     cur = topology.switch_of(src)
@@ -402,9 +379,8 @@ def route_walk(topology: Topology, config: RoutingConfig, src: int, dst: int):
     seq = [(topology.channel_at("h", src, 0), 0)]
     for _ in range(topology.num_switches + 1):
         op = config.lft[cur][dst]
-        vl = config.sl2vl[cur][op][ip][sl]
-        ch = topology.channel_at("s", cur, op)
-        seq.append((ch, vl))
+        ch = topology.channel_at("s", cur, op)  # UnknownChannel for any unwired port
+        seq.append((ch, config.sl2vl[cur][op][ip][sl]))
         peer = topology.peer[cur][op]
         if peer[0] == "h":
             if peer[1] != dst:
@@ -533,20 +509,24 @@ def synthesize(topology: Topology, engine: str, groups: tuple[int, ...] | None =
                vl_shift: bool = True) -> RoutingConfig:
     """Build the routing configuration for one engine by name.
 
-    The minimal engines route on `groups`, a switch -> group tuple that is
-    relabeled, or else on the topology's grouping; either is checked against
-    the wiring, and UnsupportedTopology is raised when the wiring does not bear
-    it out. updn needs no groups and ignores them. `vl_shift=False` selects the shift-disabled dla
-    variant, VL 0 on every turn (known to leave cyclic dependencies); other
-    engines have no VL shift and raise UnsupportedParams for it.
+    The minimal engines route on the topology's grouping. A `groups` tuple
+    (switch -> group) passed with them must relabel to that grouping, else
+    UnsupportedTopology is raised; updn ignores it. `vl_shift=False` selects
+    the shift-disabled dla variant, VL 0 on every turn (known to leave cyclic
+    dependencies); other engines have no VL shift and raise UnsupportedParams
+    for it.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r} (expected one of {sorted(ENGINES)})")
     if not vl_shift and engine != "dla":
         raise UnsupportedParams(f"engine {engine!r} has no VL shift to disable")
     minimal, group_sls, vl_row = ENGINES[engine]
+    group = tuple(topology.switch_group)
     if minimal:
-        group = _minimal_groups(topology, groups)
+        if groups is not None and _relabel(groups) != group:
+            raise UnsupportedTopology(
+                f"a grouping of {len(groups)} switches does not fit a topology of "
+                f"{topology.num_switches} switches in {topology.params.g} groups")
         np_table = _minimal_next_port(topology, group)
     else:
         np_table = _updn_next_port(topology)

@@ -38,7 +38,7 @@ import random
 from collections import defaultdict, deque
 from dataclasses import dataclass, replace
 
-from .errors import DeadlockDetected, InvalidParams, InvariantViolation
+from .errors import DeadlockDetected, InvalidParams, InvariantViolation, UnknownChannel
 from .routing import RoutingConfig, check_shape, check_vl_shift
 from .topology import Topology
 from .traffic import TrafficPattern
@@ -69,8 +69,9 @@ _E_RELEASE = 4
 
 def check_run_params(buffer_depth, warmup_s, measure_s, loads):
     """Range checks on the run parameters every caller may set (NaN fails too)."""
-    if buffer_depth < 1:
-        raise InvalidParams("buffer must hold at least one packet per VL")
+    if not isinstance(buffer_depth, int) or isinstance(buffer_depth, bool) or buffer_depth < 1:
+        raise InvalidParams(f"buffer depth must be a whole number of packets per VL, at least 1, "
+                            f"got {buffer_depth!r}")
     if not 0 <= warmup_s * _PS < math.inf:
         raise InvalidParams("warm-up must be finite and not negative")
     if not 1 <= measure_s * _PS < math.inf:
@@ -98,6 +99,11 @@ class SimConfig:
     def __post_init__(self):
         check_run_params(self.buffer_depth, self.warmup_s, self.measure_s, [self.offered_load])
         check_shape(self.topology, self.routing)
+        for s, (row, ends) in enumerate(zip(self.routing.lft, self.topology.peer)):
+            wired = {op for op, end in enumerate(ends) if end}
+            if not wired.issuperset(row):
+                dst = next(d for d, op in enumerate(row) if op not in wired)
+                raise UnknownChannel(f"switch {s}: lid {dst} port {row[dst]} has no channel")
         check_vl_shift(self.topology, self.routing)
         _, vls_needed = self.routing.resources
         if vls_needed > DATA_VLS:

@@ -8,8 +8,7 @@ test, so agreement is meaningful.
 from collections import Counter, deque
 
 from dflysim.deadlock import ChannelDependencyGraph, DeadlockReport
-from dflysim.routing import (_ZERO_ROW, ENGINES, RoutingConfig, _kind_tables, _minimal_groups,
-                             route_walk)
+from dflysim.routing import _ZERO_ROW, ENGINES, RoutingConfig, _kind_tables, route_walk
 from dflysim.topology import GLOBAL, Topology
 
 
@@ -352,18 +351,19 @@ def sorted_scan_arbiter(last_granted, candidates, eligible):
     return None
 
 
-def reference_synthesize(topo: Topology, engine: str, groups=None, vl_shift: bool = True):
+def reference_synthesize(topo: Topology, engine: str, vl_shift: bool = True):
     """`synthesize` with the original table builders, which work per endnode pair.
 
-    The grouping check, SL2VL tables and SL groups come from the package; the
-    LFT is built one (switch, destination) entry at a time: minimal routes by a
-    `local_port` call or a dict lookup per switch pair, up*/down* routes by a
-    tuple `min` per (switch, destination switch), and one Python step per
-    endnode to expand switch-level next ports to endnodes.
+    Minimal routes follow the topology's own grouping. The SL2VL tables come
+    from the package; the LFT is built one (switch, destination) entry at a
+    time: minimal routes by a `local_port` call or a dict lookup per switch
+    pair, up*/down* routes by a tuple `min` per (switch, destination switch),
+    and one Python step per endnode to expand switch-level next ports to
+    endnodes.
     """
     minimal, group_sls, vl_row = ENGINES[engine]
+    group = tuple(topo.switch_group)
     if minimal:
-        group = _minimal_groups(topo, groups)
         np_table = _reference_minimal_next_port(topo, group)
     else:
         np_table = _reference_updn_next_port(topo)

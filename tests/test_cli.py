@@ -96,10 +96,12 @@ def test_disable_vl_shift_on_engine_without_shift_is_2(verb, engine, capsys):
 
 
 def test_console_entry_point_runs():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "dflysim.cli", "verify", "--engine", "updn",
          "--params", "1,1,1,2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "ACYCLIC" in proc.stdout

@@ -10,6 +10,7 @@ from dflysim import (
     DragonflyParams,
     RoutingLoop,
     UniformTraffic,
+    UnknownChannel,
     build_cdg,
     build_topology,
     check_deadlock_free,
@@ -393,8 +394,24 @@ def test_corrupted_lft_fails_like_the_oracle(params, variant, data):
     for _ in range(data.draw(st.integers(1, 3))):
         s = data.draw(st.integers(0, topo.num_switches - 1))
         d = data.draw(st.integers(0, topo.num_endnodes - 1))
-        config.lft[s][d] = data.draw(st.integers(0, params.radix))
+        config.lft[s][d] = data.draw(st.integers(-1, params.radix))
     assert _outcome(build_cdg, topo, config) == _outcome(brute_force_cdg, topo, config)
+
+
+@pytest.mark.parametrize("shape, s, d, port", [
+    ("2,1,1", 0, 5, -1),    # read as the last port: build_cdg returned a graph
+    ("2,1,1", 0, 5, 3),     # the radix: a bare IndexError
+    ("1,3,1,3", 2, 0, 3),   # an unwired global port: run_sim ended in a bare TypeError
+])
+def test_an_lft_port_with_no_channel_is_a_typed_error(shape, s, d, port):
+    topo = build_topology(DragonflyParams.parse(shape))
+    config = synthesize(topo, "dla")
+    config.lft[s][d] = port
+    with pytest.raises(UnknownChannel, match=f"no channel at s{s}:{port}"):
+        build_cdg(topo, config)
+    assert _outcome(build_cdg, topo, config) == _outcome(brute_force_cdg, topo, config)
+    with pytest.raises(UnknownChannel, match=f"switch {s}: lid {d} port {port} has no channel"):
+        SimConfig(topo, config, UniformTraffic())
 
 
 @settings(max_examples=60, deadline=None)

@@ -319,8 +319,40 @@ def test_minimal_engines_require_fully_connected_grouping():
     topo = build_topology(DragonflyParams(2, 1, 1, 3))
     bogus = (0, 1, 0, 2, 1, 2)
     for engine in ("dla", "d3r"):
-        with pytest.raises(UnsupportedTopology, match="share a group but no local channel"):
+        with pytest.raises(UnsupportedTopology, match="a grouping of 6 switches does not fit "
+                           "a topology of 6 switches in 3 groups"):
             synthesize(topo, engine, bogus)
+
+
+def _set_partitions(n):
+    """Every set partition of 0..n-1, as a restricted growth string: each switch's
+    block, the blocks numbered in the order of their smallest switch."""
+    if n == 0:
+        yield ()
+        return
+    for rgs in _set_partitions(n - 1):
+        for block in range(max(rgs, default=-1) + 2):
+            yield rgs + (block,)
+
+
+def test_minimal_engines_accept_exactly_the_topology_grouping():
+    """Every set partition of the switches of every (a, h, g) shape with h <= 3
+    and at most 8 switches (terminal ports do not touch the switch graph): the
+    minimal engines accept a grouping iff it relabels to the builder's. Each
+    partition is passed with its labels reversed, so the relabeling is exercised."""
+    shapes = [DragonflyParams(a, h, 1, g) for a in range(1, 5) for h in range(1, 4)
+              for g in range(2, a * h + 2) if a * g <= 8]
+    for params in shapes:
+        topo = build_topology(params)
+        own = tuple(topo.switch_group)
+        for rgs in _set_partitions(topo.num_switches):
+            groups = tuple(max(rgs) - b for b in rgs)
+            for engine in ("dla", "d3r"):
+                if rgs == own:
+                    assert synthesize(topo, engine, groups) == synthesize(topo, engine)
+                else:
+                    with pytest.raises(UnsupportedTopology):
+                        synthesize(topo, engine, groups)
 
 
 @pytest.mark.parametrize("engine", ["dla", "d3r"])
@@ -406,7 +438,7 @@ def test_synthesize_matches_the_per_pair_reference(params, variant, discovered):
     if discovered and not (params.a == 1 and params.g > 2):
         groups = discover_groups(topo)
     assert (synthesize(topo, engine, groups, vl_shift=vl_shift)
-            == reference_synthesize(topo, engine, groups, vl_shift=vl_shift))
+            == reference_synthesize(topo, engine, vl_shift=vl_shift))
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v[0] + ("" if v[1] else "-noshift"))
@@ -570,6 +602,19 @@ def test_tables_that_do_not_fit_past_switch_0_are_rejected(damage, message):
     damage(config)
     for call in (lambda: SimConfig(topo, config, UniformTraffic()), lambda: build_cdg(topo, config)):
         with pytest.raises(UnsupportedTopology, match=re.escape(message)):
+            call()
+
+
+@pytest.mark.parametrize("vl", [16, -1])
+def test_sl2vl_entries_outside_vls_0_to_15_are_rejected(vl):
+    # on switch 0, out 1, in 0 of 2,1,1 dla, VL 16 aliased the 4-bit VL of the
+    # CDG's vertex codes and build_cdg silently dropped vertex (12, 16)
+    topo = build_topology(DragonflyParams(2, 1, 1))
+    config = synthesize(topo, "dla")
+    config.sl2vl[0] = [list(per_op) for per_op in config.sl2vl[0]]  # switch 0's own table
+    config.sl2vl[0][1][0] = (vl,) * 16
+    for call in (lambda: SimConfig(topo, config, UniformTraffic()), lambda: build_cdg(topo, config)):
+        with pytest.raises(UnsupportedTopology, match="switch 0: SL2VL entry outside VLs 0..15"):
             call()
 
 

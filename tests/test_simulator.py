@@ -299,8 +299,11 @@ def test_broken_credit_protocol_raises_typed_error_under_python_O():
 # -- config validation ----------------------------------------------------------
 
 def test_config_validation():
-    with pytest.raises(InvalidParams):
-        _config(buffer_depth=0)
+    # 1.5 ran and then raised a false "credit protocol broken"; 2.0 ran with
+    # another config hash than 2
+    for depth in (0, 1.5, 2.0, True, "16"):
+        with pytest.raises(InvalidParams, match="whole number of packets"):
+            _config(buffer_depth=depth)
     with pytest.raises(InvalidParams):
         _config(offered_load=1.5)
     with pytest.raises(InvalidParams):

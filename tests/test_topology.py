@@ -222,7 +222,10 @@ def test_flow_ratio_monotone_toward_one():
     assert ratios[-1] > 0.98
 
 
-@pytest.mark.parametrize("params", [DragonflyParams(2, 1, 1), DragonflyParams(4, 2, 2)],
+@pytest.mark.parametrize("params", [DragonflyParams(2, 1, 1), DragonflyParams(4, 2, 2),
+                                    # a != 2h, where f_l is not (ap)^2 + p^2
+                                    DragonflyParams(3, 2, 1), DragonflyParams(3, 1, 2),
+                                    DragonflyParams(2, 3, 2)],
                          ids=lambda p: p.label())
 def test_flow_counts_match_route_enumeration(params):
     """Brute-force enumeration of all minimal routes reproduces the formulas
