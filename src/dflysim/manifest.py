@@ -168,7 +168,7 @@ def parse_manifest(text: str) -> Manifest:
                 pattern_args["fraction"] = float(rec["hotspot_fraction"])
             if "stencil_dims" in rec:
                 pattern_args["dims"] = [int(w) for w in rec["stencil_dims"].split(",")]
-            check_run_params(buffer_depth, warmup_ms * 1e-3, measure_ms * 1e-3, loads)
+            check_run_params(buffer_depth, warmup_ms * 1e-3, measure_ms * 1e-3, loads, seeds)
             # checks the pattern's name, arguments and fit without building its tables
             make_pattern(rec["pattern"], **pattern_args).check_fit(params.num_endnodes)
         except (ValueError, InvalidParams) as exc:

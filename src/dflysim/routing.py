@@ -17,7 +17,9 @@ grouping from the bare switch graph (closed neighborhoods / maximal cliques).
 from __future__ import annotations
 
 import struct
+from array import array
 from collections import deque
+from collections.abc import MutableSequence
 from dataclasses import dataclass
 from itertools import chain, zip_longest
 from operator import itemgetter
@@ -186,13 +188,16 @@ _IDENTITY2_ROW = tuple(sl if sl < 2 else 0 for sl in range(MAX_SLS))
 class RoutingConfig:
     """Per-switch forwarding tables plus SL2VL tables for one engine.
 
-    Synthesized configurations share one SL2VL table object across all
-    switches; parsed dumps keep one table per switch. `sl_groups` holds each
-    switch's SL group: its Dragonfly group under d3r, 0 everywhere otherwise.
+    Synthesized and parsed LFT rows are `array`s of port numbers, one byte
+    per entry up to radix 128 (`_port_typecode`); list rows, as in a
+    configuration built by hand, work everywhere too. Synthesized
+    configurations share one SL2VL table object across all switches; parsed
+    dumps keep one table per switch. `sl_groups` holds each switch's SL group:
+    its Dragonfly group under d3r, 0 everywhere otherwise.
     """
 
     engine: str
-    lft: list[list[int]]                       # [switch][dst endnode] -> port
+    lft: list[MutableSequence[int]]            # [switch][dst endnode] -> port
     sl2vl: list[list[list[tuple[int, ...]]]]   # [switch][out port][in port] -> 16 VLs
     sl_groups: tuple[int, ...]                 # [switch] -> SL group
     vl_shift_disabled: bool = False
@@ -246,13 +251,16 @@ def _check_size(topology: Topology, config: RoutingConfig) -> None:
 
 def check_shape(topology: Topology, config: RoutingConfig) -> None:
     """Raise UnsupportedTopology unless every switch's tables fit the topology:
-    an LFT entry per endnode, and one SL2VL table per switch with a row per (out
-    port, in port) pair below the radix, each with an entry per SL, and every
-    entry a VL in 0..15. A table or row shared by several switches or port
-    pairs is checked once."""
+    an LFT entry per endnode, an SL group per switch, and one SL2VL table per
+    switch with a row per (out port, in port) pair below the radix, each with an
+    entry per SL, and every entry a VL in 0..15. A table or row shared by
+    several switches or port pairs is checked once."""
     if len(config.sl2vl) != len(config.lft):
         raise UnsupportedTopology(
             f"{len(config.sl2vl)} SL2VL tables for {len(config.lft)} switches")
+    if len(config.sl_groups) != len(config.lft):
+        raise UnsupportedTopology(
+            f"{len(config.sl_groups)} SL groups for {len(config.lft)} switches")
     _check_size(topology, config)
     n, radix = topology.num_endnodes, topology.params.radix
     for s, row in enumerate(config.lft):
@@ -336,16 +344,24 @@ def _minimal_next_port(topology: Topology, gid: tuple[int, ...]):
         yield row
 
 
-def _expand_lft(topology: Topology, np_rows) -> list[list[int]]:
+def _port_typecode(radix: int) -> str:
+    """The narrowest signed `array` type that holds every port below the radix:
+    'b' up to radix 128. Signed, so a row can hold -1 as a list row can."""
+    return next(t for t in "bhiq" if radix <= 1 << 8 * array(t).itemsize - 1)
+
+
+def _expand_lft(topology: Topology, np_rows) -> list[array]:
     """Endnode-level LFT from switch-level next-port rows, one per switch in
     order: each switch's next port covers its p endnodes, and a switch's own
     endnodes take their attach ports."""
     p = topology.params.p
     n = topology.num_endnodes
-    attach = list(range(p))
+    typecode = _port_typecode(topology.params.radix)
+    attach = array(typecode, range(p))
     lft = []
     for s, nprow in enumerate(np_rows):
-        row = [0] * n
+        nprow = array(typecode, nprow)
+        row = array(typecode, bytes(n * nprow.itemsize))
         for k in range(p):
             row[k::p] = nprow
         row[s * p:(s + 1) * p] = attach
@@ -594,7 +610,7 @@ def parse_fabric_dump(text: str) -> RoutingConfig:
     the one emit_fabric_dump writes for the parsed tables.
     """
     header: list[tuple[str, str]] = []
-    lft: list[list[int]] = []
+    lft: list = []                    # [switch] -> ports, an array once all are read
     sl2vl: list[list] = []            # [switch] -> sl2vl rows, split by out port once all are read
     rows: dict[tuple[int, ...], tuple[int, ...]] = {}  # interned: equal rows share one tuple
     radix = None                      # set by switch 0's first out 1 row
@@ -645,6 +661,7 @@ def parse_fabric_dump(text: str) -> RoutingConfig:
         raise MalformedDump("no switch records")
     # switch 0 fixes the endnode count, and the radix unless its rows all had out 0
     num_endnodes, radix = len(lft[0]), radix or len(sl2vl[0])
+    typecode = _port_typecode(radix)
     for s, (ports, table) in enumerate(zip(lft, sl2vl)):
         if len(ports) != num_endnodes:
             raise MalformedDump(f"switch {s}: LFT is not total over 0..{num_endnodes - 1}")
@@ -653,6 +670,7 @@ def parse_fabric_dump(text: str) -> RoutingConfig:
         if ports and max(ports) >= radix:
             dst = next(d for d, port in enumerate(ports) if port >= radix)
             raise MalformedDump(f"switch {s}: lid {dst} port {ports[dst]} is beyond radix {radix}")
+        lft[s] = array(typecode, ports)
         sl2vl[s] = [table[op:op + radix] for op in range(0, radix * radix, radix)]
     if not header or header[0][0] != "engine":
         raise MalformedDump("missing engine header: the dump must open with an engine record")

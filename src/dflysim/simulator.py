@@ -67,11 +67,15 @@ _E_CREDIT = 3    # switch a, output b: a credit on VL c comes back, then arbitra
 _E_RELEASE = 4
 
 
-def check_run_params(buffer_depth, warmup_s, measure_s, loads):
-    """Range checks on the run parameters every caller may set (NaN fails too)."""
+def check_run_params(buffer_depth, warmup_s, measure_s, loads, seeds):
+    """Range checks on the run parameters every caller may set (NaN fails too).
+    Seeds are ints at least 0: random.Random runs 1.0, True and -1 as seed 1."""
     if not isinstance(buffer_depth, int) or isinstance(buffer_depth, bool) or buffer_depth < 1:
         raise InvalidParams(f"buffer depth must be a whole number of packets per VL, at least 1, "
                             f"got {buffer_depth!r}")
+    for seed in seeds:
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise InvalidParams(f"seed must be a whole number, at least 0, got {seed!r}")
     if not 0 <= warmup_s * _PS < math.inf:
         raise InvalidParams("warm-up must be finite and not negative")
     if not 1 <= measure_s * _PS < math.inf:
@@ -97,7 +101,8 @@ class SimConfig:
     seed: int = 1
 
     def __post_init__(self):
-        check_run_params(self.buffer_depth, self.warmup_s, self.measure_s, [self.offered_load])
+        check_run_params(self.buffer_depth, self.warmup_s, self.measure_s, [self.offered_load],
+                         [self.seed])
         check_shape(self.topology, self.routing)
         for s, (row, ends) in enumerate(zip(self.routing.lft, self.topology.peer)):
             wired = {op for op, end in enumerate(ends) if end}
@@ -475,7 +480,7 @@ def run_sim(config: SimConfig) -> SimResult:
 def sweep(config: SimConfig, loads) -> list[SimResult]:
     """One independent run per load point; run i uses seed = base seed + i."""
     loads = list(loads)
-    check_run_params(config.buffer_depth, config.warmup_s, config.measure_s, loads)
+    check_run_params(config.buffer_depth, config.warmup_s, config.measure_s, loads, [config.seed])
     out = []
     for i, load in enumerate(loads):
         out.append(run_sim(replace(config, offered_load=load, seed=config.seed + i)))

@@ -359,7 +359,8 @@ def reference_synthesize(topo: Topology, engine: str, vl_shift: bool = True):
     time: minimal routes by a `local_port` call or a dict lookup per switch
     pair, up*/down* routes by a tuple `min` per (switch, destination switch),
     and one Python step per endnode to expand switch-level next ports to
-    endnodes.
+    endnodes. Its LFT rows stay plain lists, so it shares no row code with
+    `synthesize`.
     """
     minimal, group_sls, vl_row = ENGINES[engine]
     group = tuple(topo.switch_group)

@@ -266,6 +266,9 @@ def test_sweep_honors_env_output_dir(tmp_path, monkeypatch, capsys):
     ("pattern=uniform", "pattern=uniform\nstencil_dims=1,2,3"),
     ("loads=0.2,0.6", "loads="),  # no load: the row would sweep nothing
     ("loads=0.2,0.6", "loads=, ,"),
+    ("seeds=1", "seeds=-1"),  # ran as seed 1 under another config hash
+    ("seeds=1", "seeds=1,-2"),
+    ("seeds=1", "seeds=1.0"),
 ])
 def test_sweep_bad_row_value_names_the_row_and_exits_2(tmp_path, capsys, old, new):
     manifest = _write_manifest(tmp_path, TINY_MANIFEST.replace(old, new, 1))

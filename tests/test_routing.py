@@ -1,5 +1,8 @@
 import hashlib
 import re
+import tracemalloc
+from array import array
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -427,6 +430,12 @@ def _small_fabrics(draw):
     return DragonflyParams(a, h, p, g)
 
 
+def _list_rows(config):
+    """The config with its LFT rows as lists, as reference_synthesize keeps them:
+    an array row never equals a list row, so the tests compare row values."""
+    return replace(config, lft=[list(row) for row in config.lft])
+
+
 @settings(max_examples=100, deadline=None)
 @given(params=_small_fabrics(), variant=st.sampled_from(VARIANTS), discovered=st.booleans())
 def test_synthesize_matches_the_per_pair_reference(params, variant, discovered):
@@ -437,7 +446,7 @@ def test_synthesize_matches_the_per_pair_reference(params, variant, discovered):
     groups = None
     if discovered and not (params.a == 1 and params.g > 2):
         groups = discover_groups(topo)
-    assert (synthesize(topo, engine, groups, vl_shift=vl_shift)
+    assert (_list_rows(synthesize(topo, engine, groups, vl_shift=vl_shift))
             == reference_synthesize(topo, engine, vl_shift=vl_shift))
 
 
@@ -447,7 +456,7 @@ def test_synthesize_matches_the_per_pair_reference(params, variant, discovered):
 def test_synthesize_matches_the_per_pair_reference_at_study_sizes(params, variant):
     engine, vl_shift = variant
     topo = build_topology(params)
-    got = synthesize(topo, engine, vl_shift=vl_shift)
+    got = _list_rows(synthesize(topo, engine, vl_shift=vl_shift))
     want = reference_synthesize(topo, engine, vl_shift=vl_shift)
     assert got.lft == want.lft
     assert got.sl2vl == want.sl2vl
@@ -461,7 +470,36 @@ def test_synthesize_matches_the_per_pair_reference_at_study_sizes(params, varian
 ], ids=lambda p: p.label())
 def test_updn_matches_the_per_pair_reference_past_64_switches_and_one_byte_ports(params):
     topo = build_topology(params)
-    assert synthesize(topo, "updn") == reference_synthesize(topo, "updn")
+    assert _list_rows(synthesize(topo, "updn")) == reference_synthesize(topo, "updn")
+
+
+@pytest.mark.parametrize("params, itemsize", [
+    (DragonflyParams(4, 2, 2), 1),
+    (DragonflyParams(1, 1, 127, 2), 1),  # radix 128: port 127 still fits a signed byte
+    (DragonflyParams(1, 1, 128, 2), 2),  # radix 129
+    (DragonflyParams(1, 1, 256, 2), 2),  # radix 257, as 2,1,255,3 with a third of its dump
+], ids=lambda v: v.label() if isinstance(v, DragonflyParams) else str(v))
+def test_synthesized_and_parsed_lft_rows_are_port_arrays(params, itemsize):
+    config = synthesize(build_topology(params), "dla")
+    parsed = parse_fabric_dump(emit_fabric_dump(config))
+    assert parsed.lft == config.lft
+    for rows in (config.lft, parsed.lft):
+        assert {(type(row), row.itemsize) for row in rows} == {(array, itemsize)}
+
+
+def test_synthesized_lft_keeps_at_most_two_bytes_per_entry():
+    # list rows kept 8 bytes per entry, 2.15 MB per engine at 1056 endnodes
+    topo = build_topology(DragonflyParams(8, 4, 4))
+    bound = 2 * topo.num_switches * topo.num_endnodes + 512 * topo.num_switches
+    for engine in ENGINES:
+        tracemalloc.start()
+        try:
+            config = synthesize(topo, engine)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept <= bound, (engine, kept, bound)
+        assert len(config.lft) == topo.num_switches
 
 
 # sha256 over the updn LFT rows at 2550 endnodes (10,5,5), each row as bytes,
@@ -602,6 +640,15 @@ def test_tables_that_do_not_fit_past_switch_0_are_rejected(damage, message):
     damage(config)
     for call in (lambda: SimConfig(topo, config, UniformTraffic()), lambda: build_cdg(topo, config)):
         with pytest.raises(UnsupportedTopology, match=re.escape(message)):
+            call()
+
+
+def test_sl_groups_not_one_per_switch_are_rejected():
+    # SimConfig accepted a short sl_groups and build_cdg ended in IndexError
+    topo = build_topology(DragonflyParams(2, 1, 1))
+    config = replace(synthesize(topo, "d3r"), sl_groups=(0, 1))
+    for call in (lambda: SimConfig(topo, config, UniformTraffic()), lambda: build_cdg(topo, config)):
+        with pytest.raises(UnsupportedTopology, match="2 SL groups for 6 switches"):
             call()
 
 

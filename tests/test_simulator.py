@@ -335,6 +335,19 @@ def test_config_validation():
         SimConfig(topo, routing, UniformTraffic())
 
 
+@pytest.mark.parametrize("seed", [1.0, True, "1", 1.5, -1, None])
+def test_a_seed_that_is_not_a_whole_number_at_least_0_is_refused(seed):
+    # 1, 1.0 and True ran as one result under three config hashes, and -1 ran as
+    # seed 1 under another; "1" and 1.5 ran
+    with pytest.raises(InvalidParams, match="seed must be a whole number, at least 0"):
+        _config(params=DragonflyParams(2, 1, 1), seed=seed)
+    config = _config(params=DragonflyParams(2, 1, 1))
+    config.seed = seed
+    with pytest.raises(InvalidParams, match="seed must be a whole number, at least 0"):
+        sweep(config, [0.5])
+    assert _config(params=DragonflyParams(2, 1, 1), seed=0).seed == 0
+
+
 # -- basic behavior -------------------------------------------------------------
 
 def test_low_load_accepted_tracks_offered():
