@@ -53,41 +53,25 @@ class DeadlockReport:
         return "\n".join(lines)
 
 
-def _in_row_classes(hosts, table) -> list[list[tuple[int, int]]]:
-    """Split one switch's (endnode, attach port) pairs, kept in order, into the
-    classes whose SL2VL in-rows are equal on every output port. The members of
-    a class take the same route from the first hop on, toward every destination."""
-    classes: list[tuple[list, list[tuple[int, int]]]] = []  # (in-rows, members)
-    for src, ip in hosts:
-        rows = [per_op[ip] for per_op in table]
-        for key, members in classes:
-            if key == rows:
-                members.append((src, ip))
-                break
-        else:
-            classes.append((rows, [(src, ip)]))
-    return [members for _, members in classes]
-
-
 def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGraph:
     """Collect the direct dependencies of all N(N-1) routes, per destination class.
 
     A class is the endnodes on one switch whose LFT columns agree on every
     other switch. The SL depends only on the source and destination switches,
-    so the routes toward a class form one in-forest up to that switch. The
-    endnodes of one source switch whose SL2VL in-rows agree on every output
-    differ only in their injection channel, so one walk per such in-row class
-    covers them all: source switches go in ascending order, and each in-row
-    class walks from its first endnode toward the destination class until it
-    reaches a (channel, VL, SL) state the destination class has seen. The
+    so the routes toward a class form one in-forest up to that switch. When
+    the SL2VL in-rows of all endnodes on a source switch agree on every output
+    port, they differ only in their injection channel, so that switch walks
+    once, from its first endnode; otherwise each of its endnodes walks. Source
+    switches go in ascending order, and each walk goes toward the destination
+    class until it reaches a (channel, VL, SL) state the class has seen. The
     endnodes on the destination switch itself each fan out to every member's
     terminal channel there.
 
-    Every other endnode's injection edge is added after all walks: each source
-    switch records, for each first (out port, SL), the smallest destination
-    whose route leaves it there, and the edge from each endnode's injection
-    channel to that first vertex gets the pair of the endnode and that
-    destination.
+    The injection edge of every endnode that does not walk is added after all
+    walks: each source switch records, for each first (out port, SL), the
+    smallest destination whose route leaves it there, and the edge from each
+    such endnode's injection channel to that first vertex gets the pair of the
+    endnode and that destination.
 
     Equal to walking every pair with route_walk: the same vertices and edges,
     each edge's witness the smallest (src, dst) pair in src-major order whose
@@ -113,17 +97,17 @@ def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGra
     hosts: list[list[tuple[int, int]]] = [[] for _ in peer]  # [switch] -> (endnode, attach port)
     for e in range(n):
         hosts[topology.switch_of(e)].append((e, topology.attach_port(e)))
-    leads, followers = [], []  # [switch] -> each in-row class's first endnode; the others
+    leads, followers = [], []  # [switch] -> the endnodes that walk; the others
     for s, on_s in enumerate(hosts):
-        classes = _in_row_classes(on_s, sl2vl[s])
-        leads.append([members[0] for members in classes])
-        followers.append([host for members in classes for host in members[1:]])
+        once = all(len({per_op[ip] for _, ip in on_s}) < 2 for per_op in sl2vl[s])
+        leads.append(on_s[:1] if once else on_s)
+        followers.append(on_s[1:] if once else [])
     first_hop: list[dict[int, int]] = [{} for _ in peer]  # out port << 4 | SL -> smallest dst
     vertex: dict[int, Vertex] = {cid << 4: (cid, vl) for cid, vl in inj}
     witness: dict = {}  # (u, v) -> src * n + dst of the smallest pair seen so far
 
     def walk(dsw, members, col, slrow):
-        """Walk every in-row class toward one class; return its smallest failing pair."""
+        """Walk every lead toward one class; return its smallest failing pair."""
         seen: dict[int, int] = {}  # in-vertex code << 4 | SL -> first source there
         table = sl2vl[dsw]
         fan = [(m, port, out_code[dsw][port]) for m, port in members]
@@ -234,21 +218,6 @@ def _peel(live, out) -> set[Vertex]:
     return {v for v, d in indeg.items() if d}
 
 
-def _cycle_core(cdg: ChannelDependencyGraph) -> set[Vertex]:
-    """The vertices on a cycle or on a path between two cycles; empty iff acyclic.
-
-    Peels the vertices with no predecessor left, then those with no successor
-    left. A vertex on a cycle keeps both, so every cycle survives both peels.
-    """
-    live = _peel(cdg.vertices, cdg.succ)
-    pred: dict[Vertex, list[Vertex]] = {}
-    for u in live:
-        for w in cdg.succ.get(u, ()):
-            if w in live:
-                pred.setdefault(w, []).append(u)
-    return _peel(live, pred)
-
-
 def _shortest_cycle(succ, live, start) -> tuple[Vertex, ...] | None:
     """A shortest cycle through `start` within `live` (BFS, sorted neighbours), or None."""
     parent: dict[Vertex, Vertex] = {}
@@ -272,11 +241,12 @@ def check_deadlock_free(cdg: ChannelDependencyGraph) -> DeadlockReport:
 
     The witness starts at the lexicographically smallest vertex lying on any
     cycle and follows a shortest cycle through it (BFS with sorted neighbour
-    order). The cycle core also holds vertices between cycles, so candidates
-    are tried in ascending order and the first one that reaches itself is
-    that smallest cycle vertex.
+    order). Kahn's peel also leaves the vertices that lie only downstream of a
+    cycle, so candidates are tried in ascending order and the first one that
+    reaches itself is that smallest cycle vertex. A vertex on no cycle never
+    leads a BFS back to its start, so it cannot change the cycle found.
     """
-    live = _cycle_core(cdg)
+    live = _peel(cdg.vertices, cdg.succ)
     if not live:
         return DeadlockReport(acyclic=True)
     for start in sorted(live):

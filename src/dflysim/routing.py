@@ -596,6 +596,18 @@ def emit_fabric_dump(config: RoutingConfig) -> str:
     return "\n".join(out) + "\n"
 
 
+_CHUNK = 1 << 16  # characters of dump text that _lines splits at a time
+
+
+def _lines(text: str):
+    """Yield text.splitlines() from slices of about _CHUNK characters, each cut after a newline."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def parse_fabric_dump(text: str) -> RoutingConfig:
     """Parse emit_fabric_dump output back into a RoutingConfig.
 
@@ -618,7 +630,7 @@ def parse_fabric_dump(text: str) -> RoutingConfig:
     def fail(lineno, why):
         raise MalformedDump(f"line {lineno}: {why}")
 
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(_lines(text), 1):
         words = line.split()
         if not words:
             continue

@@ -84,8 +84,8 @@ class Stencil3dTraffic(TrafficPattern):
     name = "stencil3d"
 
     def __init__(self, dims: tuple[int, int, int] | None = None):
-        if dims is not None and not (
-                len(dims) == 3 and all(isinstance(d, int) and d > 0 for d in dims)):
+        if dims is not None and not (isinstance(dims, (tuple, list)) and len(dims) == 3
+                                     and all(type(d) is int and d > 0 for d in dims)):
             raise InvalidParams(f"stencil dims must be three positive integers, got {dims}")
         self.dims = dims
 
@@ -134,9 +134,9 @@ class HotspotTraffic(TrafficPattern):
     name = "hotspot"
 
     def __init__(self, fraction: float = 0.06):
-        if not 0 < fraction <= 1:
-            raise InvalidParams(f"hot-spot fraction must be in (0, 1], got {fraction}")
-        self.fraction = fraction
+        if type(fraction) not in (int, float) or not 0 < fraction <= 1:
+            raise InvalidParams(f"hot-spot fraction must be a number in (0, 1], got {fraction!r}")
+        self.fraction = float(fraction)
 
     def check_fit(self, num_endnodes):
         """(hot sources, victims): floor(fraction*N) and floor(log2 of that)."""

@@ -172,28 +172,6 @@ def tarjan_deadlock_report(cdg: ChannelDependencyGraph) -> DeadlockReport:
     return DeadlockReport(acyclic=False, cycle=cycle, inducing_flows=flows)
 
 
-def cycle_core_reference(cdg: ChannelDependencyGraph) -> set:
-    """Vertices on a cycle or on a path between two cycles: those that a
-    cycle-bearing SCC reaches and that reach one."""
-    on_cycle = {v for comp in cyclic_sccs(cdg) for v in comp}
-    pred: dict = {}
-    for u, ws in cdg.succ.items():
-        for w in ws:
-            pred.setdefault(w, set()).add(u)
-
-    def reach(adj):
-        seen = set(on_cycle)
-        todo = list(on_cycle)
-        while todo:
-            for w in adj.get(todo.pop(), ()):
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return seen
-
-    return reach(cdg.succ) & reach(pred)
-
-
 def switch_adjacency_simple(topo: Topology) -> dict[int, set[int]]:
     return {s: set(nbrs) for s, nbrs in topo.switch_adjacency().items()}
 

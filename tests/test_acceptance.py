@@ -10,6 +10,7 @@ import functools
 import json
 import multiprocessing
 import os
+import statistics
 import time
 
 import pytest
@@ -31,6 +32,7 @@ from dflysim.topology import GLOBAL, LOCAL, TERMINAL
 from oracles import brute_force_flow_counts
 
 SEEDS = (1, 2, 3, 4, 5, 6, 7, 8)
+T_975_7DF = 2.365  # two-sided 95 % Student t quantile, len(SEEDS) - 1 degrees of freedom
 # reference improvement-factor medians used for the reported (non-gated) bands
 REFERENCE_VOQ_FACTORS = {"dla": 1.428, "d3r": 2.373, "updn": 1.412}
 
@@ -147,7 +149,8 @@ def campaign():
     VOQ; plus the DLA/VOQ buffer-depth series, which reuses the dla/VOQ
     cell's 16 pkt/VL runs. Deterministic: the runs are independent and
     seeded, and every average sums the same values in seed order on any pool
-    size."""
+    size. "runs" maps each (engine, voq, buffer depth, seed) run to its
+    accepted throughput."""
     cells = [(engine, voq) for engine in ("dla", "d3r", "updn") for voq in (False, True)]
     depths = (1, 2, 4, 8, 16, 32)
     spawn = multiprocessing.get_context("spawn")  # workers import this module afresh
@@ -164,7 +167,8 @@ def campaign():
         accepted.update(zip(runs, pool.map(_saturation, runs)))
         depth_series = {depth: sum(accepted[("dla", True, depth, seed)] for seed in SEEDS[:2]) / 2
                         for depth in depths}
-    return {"sat": sat, "depths": depth_series, "factors_elapsed": factors_elapsed}
+    return {"sat": sat, "depths": depth_series, "factors_elapsed": factors_elapsed,
+            "runs": accepted}
 
 
 def test_criterion_4_voq_improvement_ordering(campaign):
@@ -192,6 +196,17 @@ def test_criterion_4_voq_improvement_ordering(campaign):
                       for e in ("dla", "d3r", "updn") for v in (True, False)))
     print("ACCEPTANCE 4 factors: " + "; ".join(notes)
           + f"; campaign took {campaign['factors_elapsed'] / 60:.1f} min")
+    runs = campaign["runs"]
+    per_seed = {e: [runs[(e, True, 16, seed)] / runs[(e, False, 16, seed)] for seed in SEEDS]
+                for e in factors}
+    for engine, seed_factors in per_seed.items():
+        print(f"ACCEPTANCE 4 per-seed {engine} factors: "
+              + " ".join(f"{f:.4f}" for f in seed_factors))
+    diffs = [d3r - dla for d3r, dla in zip(per_seed["d3r"], per_seed["dla"])]
+    mean = statistics.fmean(diffs)
+    half = T_975_7DF * statistics.stdev(diffs) / len(diffs) ** 0.5
+    print("ACCEPTANCE 4 paired d3r - dla: " + " ".join(f"{d:+.4f}" for d in diffs)
+          + f"; mean {mean:+.4f}, 95 % t-interval [{mean - half:+.4f}, {mean + half:+.4f}]")
     ok = (
         campaign["factors_elapsed"] < 1800
         and all(f > 1.0 for f in factors.values())

@@ -18,7 +18,7 @@ from dflysim import (
     parse_fabric_dump,
     synthesize,
 )
-from dflysim.deadlock import ChannelDependencyGraph, DeadlockReport, _cycle_core
+from dflysim.deadlock import ChannelDependencyGraph, DeadlockReport
 from dflysim.routing import MAX_SLS
 from dflysim.simulator import SimConfig
 from dflysim.topology import TERMINAL
@@ -27,7 +27,6 @@ from oracles import (
     all_simple_cycles_exist,
     brute_force_cdg,
     channel_numbering,
-    cycle_core_reference,
     descending_edges,
     tarjan_deadlock_report,
 )
@@ -75,14 +74,18 @@ def test_witness_picks_smallest_cycle_vertex():
 
 @st.composite
 def _digraphs(draw):
-    """Small digraphs with self-loops and several SCCs; half of them also get a
-    vertex 0 between two cycles, so the cycle core's minimum lies on no cycle."""
+    """Small digraphs with self-loops and several SCCs. Some also get a vertex 0
+    only downstream of a cycle, or between two cycles, so the smallest vertex
+    that Kahn's peel leaves often lies on no cycle."""
     n = draw(st.integers(1, 8))
     ids = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(ids, ids), max_size=14))
-    if draw(st.booleans()):
-        a, b = n, n + 2  # cycles {a, a+1} and {b, b+1}, joined through vertex 0
-        edges += [(a, a + 1), (a + 1, a), (b, b + 1), (b + 1, b), (a + 1, 0), (0, b)]
+    below = draw(st.sampled_from(("none", "downstream", "between")))
+    if below != "none":
+        a, b = n, n + 2  # vertex 0 below the cycle {a, a+1}, maybe above the cycle {b, b+1}
+        edges += [(a, a + 1), (a + 1, a), (a + 1, 0)]
+        if below == "between":
+            edges += [(b, b + 1), (b + 1, b), (0, b)]
         n += 4
     vertex = [divmod(i, 2) for i in range(n)]  # (channel id, VL) order is vertex order
     succ, witness = {}, {}
@@ -95,7 +98,6 @@ def _digraphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(cdg=_digraphs())
 def test_cycle_check_matches_tarjan_reference(cdg):
-    assert _cycle_core(cdg) == cycle_core_reference(cdg)
     assert check_deadlock_free(cdg) == tarjan_deadlock_report(cdg)
 
 
@@ -417,12 +419,13 @@ def test_an_lft_port_with_no_channel_is_a_typed_error(shape, s, d, port):
 @settings(max_examples=60, deadline=None)
 @given(params=_fabrics(max_endnodes=40), variant=st.sampled_from(VARIANTS), data=st.data())
 def test_sl2vl_in_rows_that_differ_by_attach_port_match_the_oracle(params, variant, data):
-    """A fresh random SL2VL row for every (switch, out, in), so the endnodes of
-    one switch split into several in-row classes. Each attach port after the
-    first draws its own rows or copies an earlier attach port's as equal new
-    tuples, and may then redraw the row of one out port. The rows vary in SLs
-    0 and 1, the ones routes use, so two ports often agree on some out ports
-    and not on others. Some LFT entries are broken too, first hops included."""
+    """A fresh random SL2VL row for every (switch, out, in), so the attach
+    ports of one switch often differ in their in-rows and every endnode on
+    that switch walks. Each attach port after the first draws its own rows or
+    copies an earlier attach port's as equal new tuples, and may then redraw
+    the row of one out port. The rows vary in SLs 0 and 1, the ones routes
+    use, so two ports often agree on some out ports and not on others. Some
+    LFT entries are broken too, first hops included."""
     topo = build_topology(params)
     config = _config(topo, variant)
     rng = data.draw(st.randoms(use_true_random=False))
@@ -447,6 +450,22 @@ def test_sl2vl_in_rows_that_differ_by_attach_port_match_the_oracle(params, varia
         d = data.draw(st.integers(0, topo.num_endnodes - 1))
         config.lft[s][d] = data.draw(st.integers(0, radix))
     assert _outcome(build_cdg, topo, config) == _outcome(brute_force_cdg, topo, config)
+
+
+@pytest.mark.parametrize("shape", ["4,2,2", "6,3,3"])
+def test_every_engine_gives_the_attach_ports_of_a_switch_equal_in_rows(shape):
+    """build_cdg walks once per source switch only when the in-rows of all its
+    attach ports agree; the synthesized and parsed tables must keep that."""
+    topo = build_topology(DragonflyParams.parse(shape))
+    attach = [set() for _ in range(topo.num_switches)]
+    for e in range(topo.num_endnodes):
+        attach[topo.switch_of(e)].add(topo.attach_port(e))
+    for engine, shift in (("dla", True), ("d3r", True), ("updn", True), ("dla", False)):
+        config = synthesize(topo, engine, vl_shift=shift)
+        for tables in (config, parse_fabric_dump(emit_fabric_dump(config))):
+            for s, table in enumerate(tables.sl2vl):
+                for per_op in table:
+                    assert len({per_op[ip] for ip in attach[s]}) == 1, (engine, shift, s)
 
 
 # -- scale ---------------------------------------------------------------------

@@ -3,6 +3,7 @@ import re
 import tracemalloc
 from array import array
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,8 @@ from dflysim import (
     parse_fabric_dump,
     synthesize,
 )
-from dflysim.routing import ENGINES, route_walk
+from dflysim import routing
+from dflysim.routing import ENGINES, _lines, route_walk
 from dflysim.topology import GLOBAL, LOCAL, TERMINAL
 
 from oracles import (
@@ -555,6 +557,30 @@ def test_fabric_dump_round_trips(engine):
     text = emit_fabric_dump(config)
     again = emit_fabric_dump(parse_fabric_dump(text))
     assert text == again
+
+
+# every line break str.splitlines knows, each between blank lines
+_BREAKS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+_ALL_BREAKS_TEXT = "".join(f"x{br}{br}{br}y\n\n" for br in _BREAKS) + "\nend"
+
+
+@pytest.mark.parametrize("text", [_ALL_BREAKS_TEXT, _ALL_BREAKS_TEXT + "\n", "", "\n", "one"])
+def test_dump_lines_are_splitlines_at_every_chunk_size(text):
+    assert list(_lines(text)) == text.splitlines()
+    for chunk in range(1, len(text) + 2):  # a cut after every newline, blank lines on both sides
+        with mock.patch.object(routing, "_CHUNK", chunk):
+            assert list(_lines(text)) == text.splitlines(), chunk
+
+
+def test_parsing_the_342_endnode_dump_holds_one_chunk_of_lines():
+    text = emit_fabric_dump(synthesize(build_topology(DragonflyParams(6, 3, 3)), "dla"))
+    tracemalloc.start()
+    try:
+        parse_fabric_dump(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6, peak
 
 
 def test_fabric_dump_minimal_counts():

@@ -3,7 +3,8 @@ from collections import Counter
 
 import pytest
 
-from dflysim import InvalidParams
+from dflysim import DragonflyParams, InvalidParams, build_topology, synthesize
+from dflysim.simulator import SimConfig
 from dflysim.traffic import (
     HotspotTraffic,
     Stencil3dTraffic,
@@ -88,3 +89,27 @@ def test_make_pattern_factory():
     assert make_pattern("hotspot", fraction=0.1).fraction == 0.1
     with pytest.raises(InvalidParams):
         make_pattern("tornado")
+
+
+@pytest.mark.parametrize("pattern, arg", [
+    (Stencil3dTraffic, (True, 2, 3)),   # ran as (1, 2, 3) but hashed apart from it
+    (Stencil3dTraffic, (1.0, 2, 3)),
+    (Stencil3dTraffic, 5),              # was a bare TypeError
+    (HotspotTraffic, True),             # ran as 1 but hashed apart from it
+    (HotspotTraffic, "0.5"),            # was a bare TypeError
+    (HotspotTraffic, None),
+])
+def test_pattern_arguments_that_are_not_numbers_are_refused(pattern, arg):
+    with pytest.raises(InvalidParams):
+        pattern(arg)
+
+
+@pytest.mark.parametrize("pattern, args", [
+    (Stencil3dTraffic, [(1, 2, 3), [1, 2, 3]]),
+    (HotspotTraffic, [1, 1.0]),
+])
+def test_pattern_arguments_that_run_alike_hash_alike(pattern, args):
+    topo = build_topology(DragonflyParams(2, 1, 1))
+    routing = synthesize(topo, "dla")
+    hashes = {SimConfig(topo, routing, pattern(arg), offered_load=0.5).config_hash for arg in args}
+    assert len(hashes) == 1, args
