@@ -7,6 +7,7 @@ its VL. A routing configuration is deadlock free iff its CDG is acyclic.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -19,11 +20,14 @@ Vertex = tuple[int, int]  # (channel id, vl)
 
 @dataclass
 class ChannelDependencyGraph:
-    """Dependencies induced by enumerating every source/destination route."""
+    """Dependencies induced by enumerating every source/destination route.
+
+    succ[u][v] is the witness of edge u -> v: src * n + dst for the smallest
+    (src, dst) pair in src-major order whose route holds it."""
 
     vertices: set[Vertex]
-    succ: dict[Vertex, set[Vertex]]
-    witness: dict[tuple[Vertex, Vertex], tuple[int, int]]
+    succ: dict[Vertex, dict[Vertex, int]]
+    n: int  # endnodes: divmod(succ[u][v], n) is the witness pair
 
     @property
     def num_edges(self) -> int:
@@ -61,17 +65,18 @@ def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGra
     so the routes toward a class form one in-forest up to that switch. When
     the SL2VL in-rows of all endnodes on a source switch agree on every output
     port, they differ only in their injection channel, so that switch walks
-    once, from its first endnode; otherwise each of its endnodes walks. Source
-    switches go in ascending order, and each walk goes toward the destination
-    class until it reaches a (channel, VL, SL) state the class has seen. The
-    endnodes on the destination switch itself each fan out to every member's
-    terminal channel there.
+    once, from its first endnode (its lead); otherwise each of its endnodes
+    walks. Source switches go in ascending order, and each walk goes toward
+    the destination class until it reaches a (channel, VL, SL) state the class
+    has seen. The endnodes on the destination switch itself each fan out to
+    every member's terminal channel there. Each walk carries the successor
+    map of the vertex it stands on, so an edge and its witness are one entry.
 
-    The injection edge of every endnode that does not walk is added after all
-    walks: each source switch records, for each first (out port, SL), the
-    smallest destination whose route leaves it there, and the edge from each
-    such endnode's injection channel to that first vertex gets the pair of the
-    endnode and that destination.
+    When a switch walks once, its other endnodes (followers) walk only toward
+    their own switch. Their edges that leave it are added after all walks: a
+    follower leaves on its lead's first vertices, each toward the same
+    smallest destination, so it copies the lead's injection successors other
+    than the delivery channels of its switch, with its own source.
 
     Equal to walking every pair with route_walk: the same vertices and edges,
     each edge's witness the smallest (src, dst) pair in src-major order whose
@@ -85,8 +90,8 @@ def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGra
     n = topology.num_endnodes
     peer, lft, sl2vl = topology.peer, config.lft, config.sl2vl
     # a vertex code is channel id << 4 | VL: VLs are 4-bit, as check_shape checks.
-    # Only wired ports have a code, so the walk fails on any other LFT port.
-    out_code: list[dict[int, int]] = [{} for _ in peer]
+    # Only wired ports have a code (-1 marks the others), so the walk fails on any other LFT port.
+    out_code = [array("l", [-1]) * len(ports) for ports in peer]
     inj: list[Vertex] = [(0, 0)] * n
     for ch in topology.channels:
         kind, node, port = ch.src
@@ -102,9 +107,18 @@ def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGra
         once = all(len({per_op[ip] for _, ip in on_s}) < 2 for per_op in sl2vl[s])
         leads.append(on_s[:1] if once else on_s)
         followers.append(on_s[1:] if once else [])
-    first_hop: list[dict[int, int]] = [{} for _ in peer]  # out port << 4 | SL -> smallest dst
-    vertex: dict[int, Vertex] = {cid << 4: (cid, vl) for cid, vl in inj}
-    witness: dict = {}  # (u, v) -> src * n + dst of the smallest pair seen so far
+    vertices = set(inj)
+    succ: dict[Vertex, dict[Vertex, int]] = {}  # u -> v -> src * n + dst, smallest so far
+    unused = [None] * len(topology.channels)
+    by_vl = [unused] * 16  # [VL] -> [channel id] -> vertex; a VL's own list is made on first use
+
+    def vertex(v):
+        """Intern the vertex of code v, making its VL's list on first use."""
+        if by_vl[v & 15] is unused:
+            by_vl[v & 15] = [None] * len(unused)
+        vt = by_vl[v & 15][v >> 4] = (v >> 4, v & 15)
+        vertices.add(vt)
+        return vt
 
     def walk(dsw, members, col, slrow):
         """Walk every lead toward one class; return its smallest failing pair."""
@@ -116,15 +130,18 @@ def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGra
             for src, ip in hosts[s] if s == dsw else leads[s]:
                 cur = s
                 ut = inj[src]
+                out = succ.get(ut) or succ.setdefault(ut, {})
                 pair = src * n + m0
                 try:
                     while cur != dsw:
                         op = col[cur]
                         v = out_code[cur][op] | sl2vl[cur][op][ip][sl]
-                        vt = vertex.get(v) or vertex.setdefault(v, (v >> 4, v & 15))
-                        w = witness.get((ut, vt))
+                        if op < 0 or v < 0:  # no channel (a negative index reads the last port)
+                            return pair
+                        vt = by_vl[v & 15][v >> 4] or vertex(v)
+                        w = out.get(vt)
                         if w is None or pair < w:
-                            witness[(ut, vt)] = pair
+                            out[vt] = pair
                         nxt = peer[cur][op]
                         if nxt[0] != "s":
                             return pair  # delivered off the destination switch
@@ -135,22 +152,19 @@ def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGra
                                 return pair  # back at a state of its own walk: a loop
                             break
                         seen[state] = src
-                        cur, ip, ut = nxt[1], nxt[2], vt
+                        cur, ip = nxt[1], nxt[2]
+                        out = succ.get(vt) or succ.setdefault(vt, {})
                     else:
                         for m, port, code in fan:
                             if m != src:
                                 pair = src * n + m
                                 v = code | table[port][ip][sl]
-                                vt = vertex.get(v) or vertex.setdefault(v, (v >> 4, v & 15))
-                                w = witness.get((ut, vt))
+                                vt = by_vl[v & 15][v >> 4] or vertex(v)
+                                w = out.get(vt)
                                 if w is None or pair < w:
-                                    witness[(ut, vt)] = pair
-                except KeyError:  # an LFT port with no channel
+                                    out[vt] = pair
+                except IndexError:  # an LFT port at or beyond the radix
                     return pair
-            if s != dsw:  # the followers leave s where its leads did
-                firsts, key = first_hop[s], col[s] << 4 | sl
-                if m0 < firsts.get(key, n):
-                    firsts[key] = m0
         return None
 
     bad = []  # the smallest failing pair of each class that has one
@@ -177,27 +191,13 @@ def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGra
         route_walk(topology, config, src, dst)  # raises for every pair the walk gave up on
         raise RoutingLoop((src, dst))
 
-    # the followers' injection edges: each leaves its switch on its lead's first vertex
-    for s, firsts in enumerate(first_hop):
-        for key, m in firsts.items():
-            op, sl = key >> 4, key & 15
-            code, per_op = out_code[s][op], sl2vl[s][op]
-            for src, ip in followers[s]:
-                ut, vt = inj[src], vertex[code | per_op[ip][sl]]
-                pair = src * n + m
-                w = witness.get((ut, vt))
-                if w is None or pair < w:
-                    witness[(ut, vt)] = pair
-
-    succ: dict[Vertex, set[Vertex]] = {}
-    for u, v in witness:
-        if u in succ:
-            succ[u].add(v)
-        else:
-            succ[u] = {v}
-    for key, pair in witness.items():
-        witness[key] = divmod(pair, n)
-    return ChannelDependencyGraph(vertices=set(vertex.values()), succ=succ, witness=witness)
+    for s, on_s in enumerate(followers):
+        if on_s:
+            firsts = [(vt, pair % n) for vt, pair in succ[inj[leads[s][0][0]]].items()
+                      if topology.switch_of(pair % n) != s]  # not a delivery channel on s
+            for src, _ in on_s:  # its own walks reached only the delivery channels on s
+                succ[inj[src]].update((vt, src * n + m) for vt, m in firsts)
+    return ChannelDependencyGraph(vertices=vertices, succ=succ, n=n)
 
 
 def _peel(live, out) -> set[Vertex]:
@@ -253,8 +253,6 @@ def check_deadlock_free(cdg: ChannelDependencyGraph) -> DeadlockReport:
         cycle = _shortest_cycle(cdg.succ, live, start)
         if cycle:
             break
-    flows = []
-    for i, u in enumerate(cycle):
-        v = cycle[(i + 1) % len(cycle)]
-        flows.append(cdg.witness[(u, v)])
-    return DeadlockReport(acyclic=False, cycle=cycle, inducing_flows=tuple(flows))
+    flows = tuple(divmod(cdg.succ[u][cycle[(i + 1) % len(cycle)]], cdg.n)
+                  for i, u in enumerate(cycle))
+    return DeadlockReport(acyclic=False, cycle=cycle, inducing_flows=flows)

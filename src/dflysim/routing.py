@@ -582,18 +582,20 @@ def emit_fabric_dump(config: RoutingConfig) -> str:
     radix = config.radix
     texts: dict[tuple[int, ...], str] = {}  # each distinct row formatted once
     for s in range(config.num_switches):
-        out.append(f"switch {s}")
+        lines = [f"switch {s}"]  # joined per switch, so one switch's lines are held at a time
         row = config.lft[s]
         for dst in range(config.num_endnodes):
-            out.append(f"lid {dst} port {row[dst]}")
+            lines.append(f"lid {dst} port {row[dst]}")
         for op in range(radix):
             for ip in range(radix):
                 vls = config.sl2vl[s][op][ip]
                 text = texts.get(vls)
                 if text is None:
                     text = texts[vls] = " ".join(map(str, vls))
-                out.append(f"sl2vl out {op} in {ip}: {text}")
-    return "\n".join(out) + "\n"
+                lines.append(f"sl2vl out {op} in {ip}: {text}")
+        out.append("\n".join(lines))
+    out.append("")  # the closing newline, without a second copy of the text
+    return "\n".join(out)
 
 
 _CHUNK = 1 << 16  # characters of dump text that _lines splits at a time

@@ -70,7 +70,6 @@ def brute_force_cdg(topo: Topology, config) -> ChannelDependencyGraph:
     n = topo.num_endnodes
     vertices = set()
     succ = {}
-    witness = {}
     for src in range(n):
         for dst in range(n):
             if dst == src:
@@ -80,12 +79,9 @@ def brute_force_cdg(topo: Topology, config) -> ChannelDependencyGraph:
                 v = (ch.cid, vl)
                 vertices.add(v)
                 if prev is not None:
-                    bucket = succ.setdefault(prev, set())
-                    if v not in bucket:
-                        bucket.add(v)
-                        witness[(prev, v)] = (src, dst)
+                    succ.setdefault(prev, {}).setdefault(v, src * n + dst)
                 prev = v
-    return ChannelDependencyGraph(vertices=vertices, succ=succ, witness=witness)
+    return ChannelDependencyGraph(vertices=vertices, succ=succ, n=n)
 
 
 def cyclic_sccs(cdg: ChannelDependencyGraph) -> list[list]:
@@ -168,7 +164,8 @@ def tarjan_deadlock_report(cdg: ChannelDependencyGraph) -> DeadlockReport:
     while path[-1] != start:
         path.append(parent[path[-1]])
     cycle = tuple(reversed(path))
-    flows = tuple(cdg.witness[(u, cycle[(i + 1) % len(cycle)])] for i, u in enumerate(cycle))
+    flows = tuple(divmod(cdg.succ[u][cycle[(i + 1) % len(cycle)]], cdg.n)
+                  for i, u in enumerate(cycle))
     return DeadlockReport(acyclic=False, cycle=cycle, inducing_flows=flows)
 
 

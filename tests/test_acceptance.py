@@ -32,13 +32,21 @@ from dflysim.topology import GLOBAL, LOCAL, TERMINAL
 from oracles import brute_force_flow_counts
 
 SEEDS = (1, 2, 3, 4, 5, 6, 7, 8)
-T_975_7DF = 2.365  # two-sided 95 % Student t quantile, len(SEEDS) - 1 degrees of freedom
+T_975 = {1: 12.706, 7: 2.365}  # two-sided 95 % Student t quantiles by degrees of freedom
 # reference improvement-factor medians used for the reported (non-gated) bands
 REFERENCE_VOQ_FACTORS = {"dla": 1.428, "d3r": 2.373, "updn": 1.412}
 
 
 def _report(num, text):
     print(f"\nACCEPTANCE {num}: PASS — {text}")
+
+
+def _per_seed(values) -> str:
+    """Per-seed values, their mean and its 95 % t-interval."""
+    mean = statistics.fmean(values)
+    half = T_975[len(values) - 1] * statistics.stdev(values) / len(values) ** 0.5
+    return (" ".join(f"{v:+.4f}" for v in values)
+            + f"; mean {mean:+.4f}, 95 % t-interval [{mean - half:+.4f}, {mean + half:+.4f}]")
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +211,7 @@ def test_criterion_4_voq_improvement_ordering(campaign):
         print(f"ACCEPTANCE 4 per-seed {engine} factors: "
               + " ".join(f"{f:.4f}" for f in seed_factors))
     diffs = [d3r - dla for d3r, dla in zip(per_seed["d3r"], per_seed["dla"])]
-    mean = statistics.fmean(diffs)
-    half = T_975_7DF * statistics.stdev(diffs) / len(diffs) ** 0.5
-    print("ACCEPTANCE 4 paired d3r - dla: " + " ".join(f"{d:+.4f}" for d in diffs)
-          + f"; mean {mean:+.4f}, 95 % t-interval [{mean - half:+.4f}, {mean + half:+.4f}]")
+    print("ACCEPTANCE 4 paired d3r - dla: " + _per_seed(diffs))
     ok = (
         campaign["factors_elapsed"] < 1800
         and all(f > 1.0 for f in factors.values())
@@ -223,6 +228,13 @@ def test_criterion_4_voq_improvement_ordering(campaign):
 
 
 def test_criterion_5_buffer_monotonicity_and_plateau(campaign):
+    runs, seeds = campaign["runs"], SEEDS[:2]  # the seeds of the depth series
+    gains = {(lo, hi): [runs[("dla", True, hi, s)] - runs[("dla", True, lo, s)] for s in seeds]
+             for lo, hi in ((8, 16), (16, 32))}
+    for (lo, hi), per_seed in gains.items():
+        print(f"\nACCEPTANCE 5 per-seed dla/VOQ {lo}->{hi} gains: " + _per_seed(per_seed))
+    print("ACCEPTANCE 5 paired (16->32) - (8->16) gains: "
+          + _per_seed([b - a for a, b in zip(gains[(8, 16)], gains[(16, 32)])]))
     d = campaign["depths"]
     series = [d[k] for k in (1, 2, 4, 8, 16)]
     assert all(b >= a for a, b in zip(series, series[1:])), d
@@ -235,6 +247,9 @@ def test_criterion_5_buffer_monotonicity_and_plateau(campaign):
 
 
 def test_criterion_6_engine_ordering_under_uniform(campaign):
+    runs = campaign["runs"]
+    print("\nACCEPTANCE 6 per-seed dla - d3r saturation with VOQ: "
+          + _per_seed([runs[("dla", True, 16, s)] - runs[("d3r", True, 16, s)] for s in SEEDS]))
     sat = campaign["sat"]
     dla, d3r, updn = sat[("dla", True)], sat[("d3r", True)], sat[("updn", True)]
     assert updn < dla and updn < d3r, "updn must be strictly the lowest"

@@ -34,11 +34,9 @@ from oracles import (
 
 def _cdg(vertices, edges):
     succ = {}
-    witness = {}
     for u, v in edges:
-        succ.setdefault(u, set()).add(v)
-        witness[(u, v)] = (0, 1)
-    return ChannelDependencyGraph(vertices=set(vertices), succ=succ, witness=witness)
+        succ.setdefault(u, {})[v] = 1  # the witness (0, 1) of a 2-endnode fabric
+    return ChannelDependencyGraph(vertices=set(vertices), succ=succ, n=2)
 
 
 # -- detector on hand-built graphs --------------------------------------------
@@ -88,11 +86,10 @@ def _digraphs(draw):
             edges += [(b, b + 1), (b + 1, b), (0, b)]
         n += 4
     vertex = [divmod(i, 2) for i in range(n)]  # (channel id, VL) order is vertex order
-    succ, witness = {}, {}
+    succ = {}
     for i, j in edges:
-        succ.setdefault(vertex[i], set()).add(vertex[j])
-        witness[(vertex[i], vertex[j])] = (i, j)
-    return ChannelDependencyGraph(vertices=set(vertex), succ=succ, witness=witness)
+        succ.setdefault(vertex[i], {})[vertex[j]] = i * n + j  # the witness (i, j)
+    return ChannelDependencyGraph(vertices=set(vertex), succ=succ, n=n)
 
 
 @settings(max_examples=300, deadline=None)
@@ -292,9 +289,8 @@ def test_terminal_channels_are_sources_and_sinks_only():
 
 def _assert_matches_oracle(topo, config):
     cdg, ref = build_cdg(topo, config), brute_force_cdg(topo, config)
-    assert cdg.vertices == ref.vertices
-    assert cdg.succ == ref.succ
-    assert cdg.witness == ref.witness
+    assert (cdg.vertices, cdg.n) == (ref.vertices, ref.n)
+    assert cdg.succ == ref.succ  # each edge with its witness
     assert check_deadlock_free(cdg) == check_deadlock_free(ref) == tarjan_deadlock_report(cdg)
 
 
@@ -326,7 +322,7 @@ def test_fabric_dump_round_trip_keeps_sls_and_graph(params, variant):
     s = topo.num_switches
     assert all(parsed.sl(u, v) == config.sl(u, v) for u in range(s) for v in range(s))
     got, want = build_cdg(topo, parsed), build_cdg(topo, config)
-    assert (got.vertices, got.succ, got.witness) == (want.vertices, want.succ, want.witness)
+    assert (got.vertices, got.succ) == (want.vertices, want.succ)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -384,7 +380,7 @@ def _outcome(builder, topo, config):
         cdg = builder(topo, config)
     except Exception as exc:  # the builders must fail alike, whatever the error
         return type(exc), getattr(exc, "pair", None), str(exc)
-    return cdg.vertices, cdg.succ, cdg.witness
+    return cdg.vertices, cdg.succ
 
 
 @settings(max_examples=60, deadline=None)
@@ -480,13 +476,15 @@ PINNED_CDGS = {
 
 
 def _cdg_digest(cdg) -> str:
-    triples = sorted((u, v, w) for (u, v), w in cdg.witness.items())
+    triples = sorted((u, v, divmod(w, cdg.n))
+                     for u, out in cdg.succ.items() for v, w in out.items())
     return hashlib.sha256(repr(triples).encode()).hexdigest()
 
 
-def _assert_engines_acyclic(params) -> dict[str, str]:
+def _assert_engines_acyclic(params, max_kept=None) -> dict[str, str]:
     """Prove each engine's CDG acyclic twice over and return its digest. The
-    build may hold at most 10 % more memory at its peak than the graph keeps."""
+    build may hold at most 10 % more memory at its peak than the graph keeps,
+    and each graph may keep at most `max_kept` bytes."""
     topo = build_topology(params)
     digests = {}
     for engine in ("dla", "d3r", "updn"):
@@ -499,6 +497,7 @@ def _assert_engines_acyclic(params) -> dict[str, str]:
         finally:
             tracemalloc.stop()
         assert peak - before <= 1.10 * (kept - before), engine
+        assert max_kept is None or kept - before <= max_kept, (engine, kept - before)
         report = check_deadlock_free(cdg)
         assert report.acyclic and report == tarjan_deadlock_report(cdg), engine
         assert descending_edges(cdg, channel_numbering(topo, config)) == [], engine
@@ -507,7 +506,8 @@ def _assert_engines_acyclic(params) -> dict[str, str]:
 
 
 def test_engines_acyclic_at_1056_endnodes():
-    assert _assert_engines_acyclic(DragonflyParams(8, 4, 4)) == PINNED_CDGS
+    # each graph kept 10.7-16.9 MiB while a second dict held every edge's witness
+    assert _assert_engines_acyclic(DragonflyParams(8, 4, 4), max_kept=7 << 20) == PINNED_CDGS
 
 
 # the shift-disabled dla witness at 342 endnodes, recorded from the builder

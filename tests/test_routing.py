@@ -583,6 +583,18 @@ def test_parsing_the_342_endnode_dump_holds_one_chunk_of_lines():
     assert peak <= 1.5e6, peak
 
 
+def test_emitting_the_342_endnode_dump_holds_one_switch_of_lines():
+    # 1.27e6 characters; a list of every line peaked at 6.8e6 bytes
+    config = synthesize(build_topology(DragonflyParams(6, 3, 3)), "d3r")
+    tracemalloc.start()
+    try:
+        emit_fabric_dump(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0e6, peak
+
+
 def test_fabric_dump_minimal_counts():
     topo = build_topology(DragonflyParams(1, 1, 1, 2))
     text = emit_fabric_dump(synthesize(topo, "dla"))

@@ -1,11 +1,13 @@
 import hashlib
+import heapq
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dflysim import (
@@ -295,6 +297,48 @@ def test_broken_credit_protocol_raises_typed_error_under_python_O():
         "vl-shift-sl3 builds",
     ]
 
+
+def _grantable_heads_at_idle_outputs(sim, t):
+    """(switch, output, input, VL) of each pending head that an idle output could
+    grant at t: its input is idle and its output VL has a credit."""
+    out = []
+    for s, outputs in enumerate(sim.pending):
+        table = sim.cfg.routing.sl2vl[s]
+        for op, pend in enumerate(outputs):
+            if sim.out_busy[s][op] <= t:
+                out += [(s, op, ip, vl) for (ip, vl), (_, sl) in pend.items()
+                        if sim.in_busy[s][ip] <= t and sim.credits[s][op][table[op][ip][sl]] > 0]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.sampled_from(["2,1,1", "1,2,1", "2,1,2", "1,3,1,3"]),
+       engine=st.sampled_from(["dla", "d3r", "updn"]), voq=st.booleans(),
+       depth=st.integers(1, 3), load=st.sampled_from([0.2, 0.5, 0.8, 1.0]),
+       seed=st.integers(0, 1000),
+       pattern=st.sampled_from([UniformTraffic, Stencil3dTraffic, lambda: HotspotTraffic(0.7)]))
+def test_no_output_idles_while_a_head_could_take_it(shape, engine, voq, depth, load, seed,
+                                                   pattern):
+    """Work conservation: once every event due at a time has run, no idle output
+    has a pending head whose input is idle and whose output VL has a credit.
+    run() pops its next time with heapq.heappop, and every event of the time
+    popped before has run by then, so the audit wraps that call."""
+    cfg = _config(engine, pattern=pattern(), params=DragonflyParams.parse(shape), voq=voq,
+                  buffer_depth=depth, offered_load=load, seed=seed,
+                  warmup_s=5e-6, measure_s=40e-6)
+    sim = _FabricSim(replace(cfg, pattern=cfg.pattern.bind(cfg.topology.num_endnodes, seed)))
+    pop = heapq.heappop
+    done = []  # the times whose events have all run when the next one is popped
+
+    def audited_pop(times):
+        if done:
+            assert _grantable_heads_at_idle_outputs(sim, done[-1]) == [], done[-1]
+        done.append(pop(times))
+        return done[-1]
+
+    with mock.patch.object(heapq, "heappop", audited_pop):
+        sim.run()
+    assert len(done) > 10 and sim.delivered > 0
 
 # -- config validation ----------------------------------------------------------
 
