@@ -59,13 +59,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        with open(args.manifest) as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    manifest = parse_manifest(text)
+    with open(args.manifest) as fh:
+        manifest = parse_manifest(fh.read())
     large = [r for r in manifest.rows if r.params.num_endnodes > 400]
     if large and not args.large:
         rows = ", ".join(str(r.index) for r in large)
@@ -164,7 +159,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (DflyError, OSError) as exc:
+    except (DflyError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,11 +23,16 @@ class ChannelDependencyGraph:
     """Dependencies induced by enumerating every source/destination route.
 
     succ[u][v] is the witness of edge u -> v: src * n + dst for the smallest
-    (src, dst) pair in src-major order whose route holds it."""
+    (src, dst) pair in src-major order whose route holds it. Every vertex is
+    a key of succ or a successor, so the graph keeps no vertex set."""
 
-    vertices: set[Vertex]
     succ: dict[Vertex, dict[Vertex, int]]
     n: int  # endnodes: divmod(succ[u][v], n) is the witness pair
+
+    @property
+    def vertices(self) -> set[Vertex]:
+        """Every vertex, built from succ on each read."""
+        return set(self.succ).union(*self.succ.values())
 
     @property
     def num_edges(self) -> int:
@@ -50,10 +55,7 @@ class DeadlockReport:
             ch = topology.channels[cid]
             flow = self.inducing_flows[i] if i < len(self.inducing_flows) else None
             tail = f" flow h{flow[0]}->h{flow[1]}" if flow else ""
-            lines.append(
-                f"  {ch.src_name()}:{ch.src[2]} -> {ch.dst_name()}:{ch.dst[2]} "
-                f"kind={ch.kind} vl={vl}{tail}"
-            )
+            lines.append(f"  {ch} vl={vl}{tail}")
         return "\n".join(lines)
 
 
@@ -107,7 +109,6 @@ def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGra
         once = all(len({per_op[ip] for _, ip in on_s}) < 2 for per_op in sl2vl[s])
         leads.append(on_s[:1] if once else on_s)
         followers.append(on_s[1:] if once else [])
-    vertices = set(inj)
     succ: dict[Vertex, dict[Vertex, int]] = {}  # u -> v -> src * n + dst, smallest so far
     unused = [None] * len(topology.channels)
     by_vl = [unused] * 16  # [VL] -> [channel id] -> vertex; a VL's own list is made on first use
@@ -117,7 +118,6 @@ def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGra
         if by_vl[v & 15] is unused:
             by_vl[v & 15] = [None] * len(unused)
         vt = by_vl[v & 15][v >> 4] = (v >> 4, v & 15)
-        vertices.add(vt)
         return vt
 
     def walk(dsw, members, col, slrow):
@@ -197,20 +197,21 @@ def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGra
                       if topology.switch_of(pair % n) != s]  # not a delivery channel on s
             for src, _ in on_s:  # its own walks reached only the delivery channels on s
                 succ[inj[src]].update((vt, src * n + m) for vt, m in firsts)
-    return ChannelDependencyGraph(vertices=vertices, succ=succ, n=n)
+    return ChannelDependencyGraph(succ=succ, n=n)
 
 
-def _peel(live, out) -> set[Vertex]:
-    """Kahn's peel: repeatedly drop the vertices of `live` that no edge in
-    `out` from a vertex still in `live` enters; return the rest."""
-    indeg = dict.fromkeys(live, 0)
-    for u in live:
-        for w in out.get(u, ()):
+def _peel(succ) -> set[Vertex]:
+    """Kahn's peel over the keys of `succ`: repeatedly drop the keys that no
+    edge from a key still kept enters; return the rest. A vertex that is no
+    key has no successor, so it lies on no cycle and is never counted."""
+    indeg = dict.fromkeys(succ, 0)
+    for out in succ.values():
+        for w in out:
             if w in indeg:
                 indeg[w] += 1
     queue = [v for v, d in indeg.items() if not d]
     for u in queue:
-        for w in out.get(u, ()):
+        for w in succ[u]:
             if w in indeg:
                 indeg[w] -= 1
                 if not indeg[w]:
@@ -224,7 +225,7 @@ def _shortest_cycle(succ, live, start) -> tuple[Vertex, ...] | None:
     dq = deque([start])
     while dq:
         u = dq.popleft()
-        for w in sorted(succ.get(u, ())):
+        for w in sorted(succ[u]):
             if w == start:
                 path = [u]
                 while path[-1] != start:
@@ -246,7 +247,7 @@ def check_deadlock_free(cdg: ChannelDependencyGraph) -> DeadlockReport:
     reaches itself is that smallest cycle vertex. A vertex on no cycle never
     leads a BFS back to its start, so it cannot change the cycle found.
     """
-    live = _peel(cdg.vertices, cdg.succ)
+    live = _peel(cdg.succ)
     if not live:
         return DeadlockReport(acyclic=True)
     for start in sorted(live):

@@ -33,8 +33,8 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-import math
 import random
+import sys
 from collections import defaultdict, deque
 from dataclasses import dataclass, replace
 
@@ -69,16 +69,20 @@ _E_RELEASE = 4
 
 def check_run_params(buffer_depth, warmup_s, measure_s, loads, seeds):
     """Range checks on the run parameters every caller may set (NaN fails too).
-    Seeds are ints at least 0: random.Random runs 1.0, True and -1 as seed 1."""
+    Seeds are ints at least 0: random.Random runs 1.0, True and -1 as seed 1.
+    Windows and loads are ints or floats, not bools, so `True` is no load."""
     if not isinstance(buffer_depth, int) or isinstance(buffer_depth, bool) or buffer_depth < 1:
         raise InvalidParams(f"buffer depth must be a whole number of packets per VL, at least 1, "
                             f"got {buffer_depth!r}")
     for seed in seeds:
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise InvalidParams(f"seed must be a whole number, at least 0, got {seed!r}")
-    if not 0 <= warmup_s * _PS < math.inf:
+    for x in (warmup_s, measure_s, *loads):
+        if not isinstance(x, (int, float)) or isinstance(x, bool):
+            raise InvalidParams(f"windows and loads must be numbers, got {x!r}")
+    if not 0 <= warmup_s * _PS <= sys.float_info.max:  # exact for an int, later made a float
         raise InvalidParams("warm-up must be finite and not negative")
-    if not 1 <= measure_s * _PS < math.inf:
+    if not 1 <= measure_s * _PS <= sys.float_info.max:
         raise InvalidParams("measurement window must be finite and at least 1 ps")
     if not all(0 <= load <= 1 for load in loads):
         raise InvalidParams("loads must be within [0, 1]")
@@ -103,6 +107,8 @@ class SimConfig:
     def __post_init__(self):
         check_run_params(self.buffer_depth, self.warmup_s, self.measure_s, [self.offered_load],
                          [self.seed])
+        self.offered_load, self.warmup_s, self.measure_s = map(
+            float, (self.offered_load, self.warmup_s, self.measure_s))
         check_shape(self.topology, self.routing)
         for s, (row, ends) in enumerate(zip(self.routing.lft, self.topology.peer)):
             wired = {op for op, end in enumerate(ends) if end}

@@ -88,11 +88,9 @@ class Channel:
     src: tuple[str, int, int]
     dst: tuple[str, int, int]
 
-    def src_name(self) -> str:
-        return f"{self.src[0]}{self.src[1]}"
-
-    def dst_name(self) -> str:
-        return f"{self.dst[0]}{self.dst[1]}"
+    def __str__(self) -> str:
+        (st, si, sp), (dt, di, dp) = self.src, self.dst
+        return f"{st}{si}:{sp} -> {dt}{di}:{dp} kind={self.kind}"
 
 
 @dataclass(frozen=True)
@@ -244,16 +242,9 @@ class Topology:
         """Deterministic text form: one line per directed channel."""
         lines = []
         for ch in self.channels:
-            src_t, src_id, src_port = ch.src
-            gid = (
-                self.switch_group[src_id]
-                if src_t == "s"
-                else self.endnode_group(src_id)
-            )
-            lines.append(
-                f"{ch.src_name()}:{src_port} -> {ch.dst_name()}:{ch.dst[2]} "
-                f"kind={ch.kind} group={gid}"
-            )
+            src_t, src_id, _ = ch.src
+            gid = self.switch_group[src_id] if src_t == "s" else self.endnode_group(src_id)
+            lines.append(f"{ch} group={gid}")
         return "\n".join(lines) + "\n"
 
 

@@ -61,14 +61,44 @@ def brute_force_flow_counts(topo: Topology) -> Counter:
     return counts
 
 
-def brute_force_cdg(topo: Topology, config) -> ChannelDependencyGraph:
+def channel_loads(topo: Topology, config) -> Counter:
+    """Flows per channel id under uniform traffic: one flow per ordered pair.
+
+    Destinations on one switch whose LFT columns agree on every other switch
+    form a class. From a source switch, their routes share every hop up to
+    their switch, so one walk per class and source switch adds (endnodes on
+    that source switch) x (class size) flows to each hop. Each terminal
+    channel carries the N-1 flows from or to its endnode.
+    """
+    n, lft = topo.num_endnodes, config.lft
+    hosts = Counter(topo.switch_of(e) for e in range(n))
+    classes: dict = {}  # (switch, LFT column on the other switches) -> [first member, size]
+    loads: Counter = Counter()
+    for d in range(n):
+        dsw = topo.switch_of(d)
+        classes.setdefault((dsw, tuple(row[d] for s, row in enumerate(lft) if s != dsw)),
+                           [d, 0])[1] += 1
+        loads[topo.channel_at("h", d, 0).cid] = n - 1
+        loads[topo.channel_at("s", dsw, topo.attach_port(d)).cid] = n - 1
+    for (dsw, _), (d, size) in classes.items():
+        for s, on_s in hosts.items():
+            while s != dsw:
+                ch = topo.channel_at("s", s, lft[s][d])
+                loads[ch.cid] += on_s * size
+                s = ch.dst[1]
+    return loads
+
+
+def brute_force_cdg(topo: Topology, config, vertices=None) -> ChannelDependencyGraph:
     """The CDG from walking all N(N-1) routes one by one (the original builder).
 
     Pairs go in src-major order, so each edge's witness is the first pair whose
     route holds it, and a RoutingLoop comes from the first pair that fails.
+    Every (channel id, VL) vertex of every route is added to `vertices`, if
+    given: the vertex set collected from the walks, not from the graph.
     """
     n = topo.num_endnodes
-    vertices = set()
+    vertices = set() if vertices is None else vertices
     succ = {}
     for src in range(n):
         for dst in range(n):
@@ -81,7 +111,7 @@ def brute_force_cdg(topo: Topology, config) -> ChannelDependencyGraph:
                 if prev is not None:
                     succ.setdefault(prev, {}).setdefault(v, src * n + dst)
                 prev = v
-    return ChannelDependencyGraph(vertices=vertices, succ=succ, n=n)
+    return ChannelDependencyGraph(succ=succ, n=n)
 
 
 def cyclic_sccs(cdg: ChannelDependencyGraph) -> list[list]:

@@ -32,24 +32,24 @@ from oracles import (
 )
 
 
-def _cdg(vertices, edges):
+def _cdg(edges):
     succ = {}
     for u, v in edges:
         succ.setdefault(u, {})[v] = 1  # the witness (0, 1) of a 2-endnode fabric
-    return ChannelDependencyGraph(vertices=set(vertices), succ=succ, n=2)
+    return ChannelDependencyGraph(succ=succ, n=2)
 
 
 # -- detector on hand-built graphs --------------------------------------------
 
 def test_empty_graph_is_acyclic():
-    report = check_deadlock_free(_cdg([], []))
+    report = check_deadlock_free(_cdg([]))
     assert report.acyclic
     assert report.cycle == ()
 
 
 def test_three_ring_detected_with_witness():
     vs = [(0, 0), (1, 0), (2, 0)]
-    report = check_deadlock_free(_cdg(vs, [(vs[0], vs[1]), (vs[1], vs[2]), (vs[2], vs[0])]))
+    report = check_deadlock_free(_cdg([(vs[0], vs[1]), (vs[1], vs[2]), (vs[2], vs[0])]))
     assert not report.acyclic
     assert len(report.cycle) == 3
     assert report.cycle[0] == (0, 0)  # deterministic: smallest vertex first
@@ -59,14 +59,14 @@ def test_three_ring_detected_with_witness():
 def test_dag_with_diamond_is_acyclic():
     vs = [(i, 0) for i in range(4)]
     edges = [(vs[0], vs[1]), (vs[0], vs[2]), (vs[1], vs[3]), (vs[2], vs[3])]
-    assert check_deadlock_free(_cdg(vs, edges)).acyclic
+    assert check_deadlock_free(_cdg(edges)).acyclic
 
 
 def test_witness_picks_smallest_cycle_vertex():
     vs = [(i, 0) for i in range(6)]
     edges = [(vs[5], vs[4]), (vs[4], vs[5]),        # cycle {4, 5}
              (vs[0], vs[1]), (vs[1], vs[2]), (vs[2], vs[0])]  # cycle {0, 1, 2}
-    report = check_deadlock_free(_cdg(vs, edges))
+    report = check_deadlock_free(_cdg(edges))
     assert report.cycle[0] == (0, 0)
 
 
@@ -89,7 +89,7 @@ def _digraphs(draw):
     succ = {}
     for i, j in edges:
         succ.setdefault(vertex[i], {})[vertex[j]] = i * n + j  # the witness (i, j)
-    return ChannelDependencyGraph(vertices=set(vertex), succ=succ, n=n)
+    return ChannelDependencyGraph(succ=succ, n=n)
 
 
 @settings(max_examples=300, deadline=None)
@@ -122,6 +122,25 @@ def test_dla_without_vl_shift_is_cyclic_with_valid_witness():
     # the witness stays on the fabric: no terminal channels inside a cycle
     for cid, _vl in cycle:
         assert topo.channels[cid].kind != TERMINAL
+
+
+# the witness text at 72 endnodes, recorded when describe still built each
+# channel's text itself, before Channel had a __str__
+PINNED_NOSHIFT_DESCRIBE_72 = """\
+CYCLE
+  s0:2 -> s1:2 kind=lc vl=0 flow h0->h16
+  s1:5 -> s8:5 kind=gc vl=0 flow h0->h18
+  s8:2 -> s9:2 kind=lc vl=0 flow h16->h8
+  s9:5 -> s5:5 kind=gc vl=0 flow h16->h8
+  s5:2 -> s4:2 kind=lc vl=0 flow h10->h0
+  s4:5 -> s0:5 kind=gc vl=0 flow h8->h2"""
+
+
+def test_shift_disabled_dla_witness_text_at_72_endnodes_is_pinned():
+    topo = build_topology(DragonflyParams(4, 2, 2))
+    report = check_deadlock_free(build_cdg(topo, synthesize(topo, "dla", vl_shift=False)))
+    assert report.describe(topo) == PINNED_NOSHIFT_DESCRIBE_72
+    assert DeadlockReport(acyclic=True).describe(topo) == "ACYCLIC"
 
 
 def test_two_switch_fabric_acyclic_for_every_engine():
@@ -288,8 +307,9 @@ def test_terminal_channels_are_sources_and_sinks_only():
 # -- the destination-class builder against the per-pair oracle ------------------
 
 def _assert_matches_oracle(topo, config):
-    cdg, ref = build_cdg(topo, config), brute_force_cdg(topo, config)
-    assert (cdg.vertices, cdg.n) == (ref.vertices, ref.n)
+    walked = set()
+    cdg, ref = build_cdg(topo, config), brute_force_cdg(topo, config, walked)
+    assert (cdg.vertices, cdg.n) == (walked, ref.n)
     assert cdg.succ == ref.succ  # each edge with its witness
     assert check_deadlock_free(cdg) == check_deadlock_free(ref) == tarjan_deadlock_report(cdg)
 

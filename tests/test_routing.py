@@ -2,6 +2,7 @@ import hashlib
 import re
 import tracemalloc
 from array import array
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -30,7 +31,9 @@ from dflysim.topology import GLOBAL, LOCAL, TERMINAL
 
 from oracles import (
     bfs_distances,
+    brute_force_flow_counts,
     canonical_route_channels,
+    channel_loads,
     legal_updn_distance,
     lft_switch_path,
     reference_synthesize,
@@ -146,6 +149,50 @@ def test_dla_paths_are_minimal(params):
             hops = len(walked) - 2  # strip the two terminal channels
             bfs = dists[ss][topo.switch_of(dst)]
             assert bfs <= hops <= max(bfs + 1, 3) and hops <= 3
+
+
+@pytest.mark.parametrize("engine", ["dla", "d3r"])
+@pytest.mark.parametrize("params", [DragonflyParams(4, 2, 2), DragonflyParams(3, 3, 2, 7)],
+                         ids=lambda p: p.label())
+def test_channel_loads_of_the_minimal_engines_are_the_canonical_route_counts(params, engine):
+    topo = build_topology(params)
+    assert channel_loads(topo, synthesize(topo, engine)) == brute_force_flow_counts(topo)
+
+
+def test_channel_loads_of_updn_count_every_route_walk():
+    topo = build_topology(DragonflyParams(4, 2, 2))
+    config = synthesize(topo, "updn")
+    n = topo.num_endnodes
+    walked = Counter(ch.cid for src in range(n) for dst in range(n) if src != dst
+                     for ch, _ in route_walk(topo, config, src, dst))
+    assert channel_loads(topo, config) == walked
+
+
+# the ideal uniform throughput Θ = (N-1) / (the most flows on one channel),
+# that most, and the channels carrying it: every terminal channel, or these
+PINNED_THETA = {
+    ("4,2,2", "dla"): (1.0, 71, TERMINAL),
+    ("4,2,2", "d3r"): (1.0, 71, TERMINAL),
+    ("4,2,2", "updn"): (0.2863, 248, ["s8:5 -> s1:5 kind=gc", "s12:5 -> s2:5 kind=gc"]),
+    ("6,3,3", "dla"): (1.0, 341, TERMINAL),
+    ("6,3,3", "d3r"): (1.0, 341, TERMINAL),
+    ("6,3,3", "updn"): (0.1592, 2142, ["s4:8 -> s30:8 kind=gc"]),
+}
+
+
+@pytest.mark.parametrize("shape, engine", list(PINNED_THETA))
+def test_ideal_uniform_throughput_of_each_engine_is_pinned(shape, engine):
+    topo = build_topology(DragonflyParams.parse(shape))
+    loads = channel_loads(topo, synthesize(topo, engine))
+    most = max(loads.values())
+    busiest = [topo.channels[cid] for cid, flows in loads.items() if flows == most]
+    theta, want_most, where = PINNED_THETA[shape, engine]
+    assert (round((topo.num_endnodes - 1) / most, 4), most) == (theta, want_most)
+    if where == TERMINAL:
+        assert len(busiest) == 2 * topo.num_endnodes
+        assert {ch.kind for ch in busiest} == {TERMINAL}
+    else:
+        assert [str(ch) for ch in busiest] == where
 
 
 def test_dla_route_shape_and_vl_discipline():

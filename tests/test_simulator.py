@@ -362,6 +362,23 @@ def test_config_validation():
                    {"warmup_s": 1e297}, {"measure_s": 1e297}):
         with pytest.raises(InvalidParams):
             _config(**window)
+    # a load, warm-up or window of True ran; a load of "0.5" or None ended in a bare
+    # TypeError. No str window here: a check after the arithmetic would make
+    # "1e-3" * 10**12, a string of terabytes.
+    cases = [(key, bad) for key in ("offered_load", "warmup_s", "measure_s")
+             for bad in (True, None, 1j)] + [("offered_load", "0.5")]
+    for key, bad in cases:
+        with pytest.raises(InvalidParams, match="windows and loads must be numbers"):
+            _config(**{key: bad})
+    # an int ps value beyond the largest float was let through, then overflowed as a float
+    with pytest.raises(InvalidParams, match="warm-up must be finite"):
+        _config(warmup_s=10**400)
+    # 1 and 1.0 ran as one result under two config hashes
+    small = DragonflyParams(2, 1, 1)
+    as_int = _config(params=small, offered_load=1, warmup_s=0, measure_s=1)
+    as_float = _config(params=small, offered_load=1.0, warmup_s=0.0, measure_s=1.0)
+    assert as_int.canonical() == as_float.canonical()
+    assert {type(v) for v in (as_int.offered_load, as_int.warmup_s, as_int.measure_s)} == {float}
     for fraction in (float("nan"), 5, 0, -0.1):
         with pytest.raises(InvalidParams):
             _config(pattern=HotspotTraffic(fraction))
@@ -457,6 +474,15 @@ def test_sweep_validates_loads():
         sweep(_config(), [0.5, 0.1])
     with pytest.raises(InvalidParams):
         sweep(_config(), [1.5])
+    for bad in (True, "0.5", None):  # True ran as load 1.0; the others ended in a TypeError
+        with pytest.raises(InvalidParams, match="windows and loads must be numbers"):
+            sweep(_config(), [bad])
+
+
+def test_sweep_runs_an_int_load_as_its_float():
+    cfg = _config(params=DragonflyParams(2, 1, 1), warmup_s=0.01e-3, measure_s=0.05e-3)
+    (as_int,), (as_float,) = sweep(cfg, [1]), sweep(cfg, [1.0])
+    assert as_int == as_float  # the config hash too: 1 and 1.0 had two
 
 
 def test_sweep_reproducible_bit_for_bit():
