@@ -242,7 +242,8 @@ def run_row(row: ManifestRow, out_dir: str, manifest_hash: str, force: bool = Fa
             sim_config = {k: v for k, v in config.canonical().items()
                           if k not in ("offered_load", "seed")}
         for result in sweep(config, row.loads):
-            csv_lines.append(result.csv_row())
+            csv_lines.append(f"{result.offered:.6g},{result.accepted:.6f},{result.engine},"
+                             f"{int(result.voq)},{result.buffer_depth},{result.seed}")
             runs.append({
                 "config_hash": result.config_hash,
                 "offered": result.offered,

@@ -127,7 +127,10 @@ def discover_groups(graph) -> tuple[int, ...]:
     cliques). When several clique sizes tile the graph into groups with a
     channel between every two of them, the largest wins. Raises NotADragonfly
     when no size does, when the switch ids are not 0..n-1, and for a complete
-    switch graph other than the 2-switch fabric (ambiguous).
+    switch graph other than the 2-switch fabric (ambiguous). It returns the
+    first valid tiling in switch order, so it recovers a fabric's groups only
+    when one grouping fits; with 2 switches per group a relabelled fabric may
+    get another grouping, without an error.
     """
     adj = _as_switch_graph(graph)
     if not adj:
@@ -303,7 +306,7 @@ def check_vl_shift(topology: Topology, config: RoutingConfig) -> None:
 # shared synthesis helpers
 # ---------------------------------------------------------------------------
 
-def _minimal_next_port(topology: Topology, gid: tuple[int, ...]):
+def _minimal_next_port(topology: Topology):
     """Switch-level next-output-port rows for minimal Dragonfly routing.
 
     Route shape: optional local hop to the switch owning the global channel,
@@ -314,7 +317,8 @@ def _minimal_next_port(topology: Topology, gid: tuple[int, ...]):
     switch at a time, so no switch x switch table is held.
     """
     S = topology.num_switches
-    G = max(gid) + 1
+    gid = topology.switch_group
+    G = topology.params.g
     members: list[list[int]] = [[] for _ in range(G)]
     for s, g in enumerate(gid):
         members[g].append(s)
@@ -322,13 +326,10 @@ def _minimal_next_port(topology: Topology, gid: tuple[int, ...]):
     egress: list[dict[int, int]] = [{} for _ in range(S)]
     # per group pair: lowest switch in src group owning a cable to dst group
     owner: dict[tuple[int, int], int] = {}
-    for s in range(S):
-        for port, peer_sw, _ in sorted(topology.global_ports(s)):
-            gd = gid[peer_sw]
+    for s in range(S):  # ascending switches, each with its global ports ascending
+        for port, _, gd in topology.global_ports(s):
             egress[s].setdefault(gd, port)
-            key = (gid[s], gd)
-            if key not in owner or s < owner[key]:
-                owner[key] = s
+            owner.setdefault((gid[s], gd), s)
 
     by_group = itemgetter(*gid)  # a per-group list -> a per-switch tuple
     for s in range(S):
@@ -533,7 +534,7 @@ def synthesize(topology: Topology, engine: str, groups: tuple[int, ...] | None =
     for it.
     """
     if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r} (expected one of {sorted(ENGINES)})")
+        raise UnsupportedParams(f"unknown engine {engine!r} (expected one of {sorted(ENGINES)})")
     if not vl_shift and engine != "dla":
         raise UnsupportedParams(f"engine {engine!r} has no VL shift to disable")
     minimal, group_sls, vl_row = ENGINES[engine]
@@ -543,7 +544,7 @@ def synthesize(topology: Topology, engine: str, groups: tuple[int, ...] | None =
             raise UnsupportedTopology(
                 f"a grouping of {len(groups)} switches does not fit a topology of "
                 f"{topology.num_switches} switches in {topology.params.g} groups")
-        np_table = _minimal_next_port(topology, group)
+        np_table = _minimal_next_port(topology)
     else:
         np_table = _updn_next_port(topology)
     return RoutingConfig(

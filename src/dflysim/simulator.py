@@ -176,12 +176,6 @@ class SimResult:
     seed: int
     config_hash: str
 
-    def csv_row(self) -> str:
-        return (
-            f"{self.offered:.6g},{self.accepted:.6f},{self.engine},"
-            f"{int(self.voq)},{self.buffer_depth},{self.seed}"
-        )
-
     @property
     def result_hash(self) -> str:
         blob = repr((self.accepted, self.per_endnode, self.measured_packets)).encode()
@@ -215,6 +209,7 @@ def arbitrate_output(last, pend, t, in_busy, credits, vrow):
 class _FabricSim:
     """Single-run engine. Deterministic: events due at one time run in the
     order they were scheduled, so a run is bit-reproducible for a fixed seed.
+    It binds the config's pattern to the fabric size and seed, as `pattern`.
 
     Switch state is indexed [switch][port]: fifos[s][ip][vl] maps a FIFO key
     (the output port under VOQ, 0 without) to a list of (dst, sl) packets;
@@ -228,6 +223,7 @@ class _FabricSim:
         depth = cfg.buffer_depth
         n = topo.num_endnodes
         self.n = n
+        self.pattern = cfg.pattern.bind(n, cfg.seed)
 
         ns = topo.num_switches
         self.fifos = [[[defaultdict(list) for _ in range(DATA_VLS)] for _ in range(radix)]
@@ -268,9 +264,9 @@ class _FabricSim:
         p = topo.params.p
         radix = topo.params.radix
         rng = random.Random(cfg.seed)
-        choose = cfg.pattern.choose
+        choose = self.pattern.choose
         sl = cfg.routing.sl
-        src_load = [cfg.pattern.source_load(e, cfg.offered_load) for e in range(n)]
+        src_load = [self.pattern.source_load(e, cfg.offered_load) for e in range(n)]
         lft = cfg.routing.lft
         sl2vl = cfg.routing.sl2vl
         peer = topo.peer
@@ -447,7 +443,7 @@ class _FabricSim:
 
     def result(self) -> SimResult:
         cfg = self.cfg
-        counted = cfg.pattern.counted_endnodes()
+        counted = self.pattern.counted_endnodes()
         measured = sum(self.measured_by_dst[e] for e in counted)
         norm = PACKET_PS / cfg.measure_ps
         accepted = measured * norm / len(counted) if counted else 0.0
@@ -463,22 +459,20 @@ class _FabricSim:
             engine=cfg.routing.engine,
             voq=cfg.voq,
             buffer_depth=cfg.buffer_depth,
-            pattern=cfg.pattern.name,
+            pattern=self.pattern.name,
             seed=cfg.seed,
             config_hash=cfg.config_hash,
         )
 
 
 def run_sim(config: SimConfig) -> SimResult:
-    """Run one load point. Deterministic for a fixed (config, seed).
+    """Run one load point of `config` as given. Deterministic for a fixed (config, seed).
 
     Raises DeadlockDetected when the fabric stops delivering while packets
     remain for the stall horizon (a routing-configuration bug, not a simulator
     error).
     """
-    pattern = config.pattern.bind(config.topology.num_endnodes, config.seed)
-    cfg = replace(config, pattern=pattern)
-    sim = _FabricSim(cfg)
+    sim = _FabricSim(config)
     sim.run()
     return sim.result()
 

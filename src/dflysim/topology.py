@@ -153,61 +153,48 @@ class Topology:
     # -- construction ------------------------------------------------------
 
     def _add_cable(self, kind, a_end, b_end):
+        """Wire one cable: a channel each way, and `peer` at each switch end."""
         for src, dst in ((a_end, b_end), (b_end, a_end)):
             ch = Channel(len(self.channels), kind, src, dst)
             self.channels.append(ch)
             self._chan_at[src] = ch
+            if src[0] == "s":
+                self.peer[src[1]][src[2]] = dst
 
     def _build(self):
         par = self.params
         a, h, p, g = par.a, par.h, par.p, par.g
         # terminal cables
         for e in range(self.num_endnodes):
-            s, port = self.switch_of(e), self.attach_port(e)
-            self.peer[s][port] = ("h", e, 0)
-            self._add_cable(TERMINAL, ("h", e, 0), ("s", s, port))
+            self._add_cable(TERMINAL, ("h", e, 0), ("s", self.switch_of(e), self.attach_port(e)))
         # local cables: every pair inside a group
         for grp in range(g):
             base = grp * a
             for i in range(a):
                 for j in range(i + 1, a):
                     si, sj = base + i, base + j
-                    pi, pj = self.local_port(si, sj), self.local_port(sj, si)
-                    self.peer[si][pi] = ("s", sj, pj)
-                    self.peer[sj][pj] = ("s", si, pi)
-                    self._add_cable(LOCAL, ("s", si, pi), ("s", sj, pj))
+                    self._add_cable(LOCAL, ("s", si, self.local_port(si, sj)),
+                                    ("s", sj, self.local_port(sj, si)))
         # global cables: round-robin one cable per group pair per round while
         # both groups still have free global slots. Slot r of a group sits on
         # switch r % a, port p + (a-1) + r // a. For g = ah+1 every pair gets
         # exactly one cable and slot == rank of the peer group.
-        free = [a * h] * g
-        next_slot = [0] * g
+        used = [0] * g
+
+        def endpoint(grp):
+            """The group's next free slot, now taken."""
+            slot = used[grp]
+            used[grp] += 1
+            return ("s", grp * a + slot % a, p + (a - 1) + slot // a)
+
         pairs = [(i, j) for i in range(g) for j in range(i + 1, g)]
         placed = True
         while placed:
             placed = False
             for gi, gj in pairs:
-                if free[gi] > 0 and free[gj] > 0:
-                    self._wire_global(gi, next_slot[gi], gj, next_slot[gj])
-                    next_slot[gi] += 1
-                    next_slot[gj] += 1
-                    free[gi] -= 1
-                    free[gj] -= 1
+                if used[gi] < a * h and used[gj] < a * h:
+                    self._add_cable(GLOBAL, endpoint(gi), endpoint(gj))
                     placed = True
-
-    def _wire_global(self, gi, slot_i, gj, slot_j):
-        par = self.params
-        a, h, p = par.a, par.h, par.p
-
-        def endpoint(grp, slot):
-            s = grp * a + slot % a
-            port = p + (a - 1) + slot // a
-            return ("s", s, port)
-
-        ei, ej = endpoint(gi, slot_i), endpoint(gj, slot_j)
-        self.peer[ei[1]][ei[2]] = ej
-        self.peer[ej[1]][ej[2]] = ei
-        self._add_cable(GLOBAL, ei, ej)
 
     # -- queries -----------------------------------------------------------
 

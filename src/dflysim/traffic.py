@@ -70,8 +70,7 @@ def _cubish_dims(n: int) -> tuple[int, int, int]:
             cand = ((d3 - d1), (d1, d2, d3))
             if best is None or cand < best:
                 best = cand
-    assert best is not None
-    return best[1]
+    return best[1]  # n >= 1 has the factorization (1, 1, n) at least
 
 
 class Stencil3dTraffic(TrafficPattern):
@@ -91,11 +90,11 @@ class Stencil3dTraffic(TrafficPattern):
 
     def check_fit(self, num_endnodes):
         """The grid dims: the given ones, else the most-cubic factorization."""
+        if num_endnodes < 2:  # a 1x1x1 grid: every step wraps back to the source
+            raise InvalidParams("stencil traffic needs at least 2 endnodes")
         dims = self.dims or _cubish_dims(num_endnodes)
         if dims[0] * dims[1] * dims[2] != num_endnodes:
             raise InvalidParams(f"dims {dims} do not factor {num_endnodes} endnodes")
-        if num_endnodes == 1:  # a 1x1x1 grid: every step wraps back to the source
-            raise InvalidParams("stencil grid degenerates to self-sends only")
         return dims
 
     def bind(self, num_endnodes, seed):

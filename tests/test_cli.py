@@ -375,6 +375,8 @@ def test_manifest_parser_rejects_garbage():
         parse_manifest("version=1\n\nparams=2,1,1\n")  # missing row keys
     with pytest.raises(ManifestError):
         parse_manifest("version=1\n\nnonsense line\n")
+    with pytest.raises(ManifestError, match=r"unknown header keys: \['color'\]"):
+        parse_manifest(TINY_MANIFEST.replace("version=1\n", "version=1\ncolor=red\n", 1))
     with pytest.raises(ManifestError):
         parse_manifest(TINY_MANIFEST.replace("voq=on", "voq=maybe"))
     with pytest.raises(ManifestError):

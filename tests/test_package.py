@@ -32,3 +32,11 @@ def test_the_package_imports_only_these_standard_modules():
     imported = set().union(*map(_imported_modules, files))
     assert imported <= sys.stdlib_module_names, imported - sys.stdlib_module_names
     assert imported == IMPORTED
+
+
+def test_the_package_has_no_assert_statement():
+    # `python -O` strips asserts, and every invariant must still hold there
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name}: assert on lines {lines}"

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import re
 import tracemalloc
 from array import array
@@ -109,14 +110,31 @@ def test_discovery_idempotent_over_builder(params):
 
 
 def test_discovery_is_label_invariant():
-    # renumber switches and check the partition maps back
-    topo = build_topology(DragonflyParams(3, 2, 2, 7))
-    perm = {s: (s * 11 + 5) % topo.num_switches for s in range(topo.num_switches)}
-    assert len(set(perm.values())) == topo.num_switches
-    graph = {perm[s]: {perm[u] for u in nbrs} for s, nbrs in _erased(topo).items()}
-    found = discover_groups(graph)
-    mapped = {frozenset(perm[s] for s in grp) for grp in _partition(topo.switch_group)}
-    assert _partition(found) == mapped
+    # renumber switches and check the partition maps back; with a >= 3 the
+    # groups are the only maximal cliques of a or more switches
+    cases = [(DragonflyParams(3, 2, 2, 7), [(s * 11 + 5) % 21 for s in range(21)])]
+    for shape in ("3,2,1,7", "4,1,1,5", "3,3,1,10"):
+        params = DragonflyParams.parse(shape)
+        for seed in range(3):
+            perm = list(range(params.num_switches))
+            random.Random(seed).shuffle(perm)
+            cases.append((params, perm))
+    for params, perm in cases:
+        topo = build_topology(params)
+        assert sorted(perm) == list(range(topo.num_switches))
+        graph = {perm[s]: {perm[u] for u in nbrs} for s, nbrs in _erased(topo).items()}
+        mapped = {frozenset(perm[s] for s in grp) for grp in _partition(topo.switch_group)}
+        assert _partition(discover_groups(graph)) == mapped, (params.label(), perm)
+
+
+def test_discovery_returns_the_first_tiling_when_two_groupings_fit():
+    # 2,1,1,2 is a 4-cycle: as built its groups are {0, 1} and {2, 3}, and with
+    # switches 1 and 2 swapped they are {0, 2} and {1, 3}, on the same graph
+    graph = _erased(build_topology(DragonflyParams(2, 1, 1, 2)))
+    assert graph == {0: {1, 2}, 1: {0, 3}, 2: {0, 3}, 3: {1, 2}}
+    swap = [0, 2, 1, 3]
+    assert {swap[s]: {swap[u] for u in nbrs} for s, nbrs in graph.items()} == graph
+    assert discover_groups(graph) == (0, 0, 1, 1)
 
 
 # -- dla ----------------------------------------------------------------------
@@ -350,7 +368,7 @@ def test_synthesize_dispatch_and_unknown_engine():
     assert synthesize(topo, "dla").engine == "dla"
     assert synthesize(topo, "d3r").engine == "d3r"
     assert synthesize(topo, "updn").engine == "updn"
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedParams, match="unknown engine 'lash'"):
         synthesize(topo, "lash")
     # only dla has a VL shift to disable
     assert synthesize(topo, "dla", vl_shift=False).vl_shift_disabled
@@ -804,8 +822,38 @@ def test_parse_rejects_structural_damage():
         parse_fabric_dump(text.replace("slpolicy zero", "slpolicy mystery"))
     with pytest.raises(MalformedDump, match="vlshift 'on'"):
         parse_fabric_dump(text.replace("engine dla", "engine dla\nvlshift on"))
-    # dropping one LFT line breaks totality
+    # dropping switch 0's first LFT line breaks the lid order before totality is checked
     lines = text.splitlines()
     lines.remove("lid 0 port 0")
-    with pytest.raises(MalformedDump):
+    with pytest.raises(MalformedDump, match="expected lid 0 port"):
         parse_fabric_dump("\n".join(lines))
+
+
+_DUMP_EDITS = {  # name -> (edit of a 2,1,1 dump, the refusal it meets, or None)
+    "blank lines and runs of spaces": (
+        lambda t: t.replace(" ", "   ").replace("\n", "\n\n  \n"), None),
+    "bad sl2vl line": (lambda t: t.replace(": 0 ", ": ", 1), "bad sl2vl line"),
+    "sl2vl letter": (lambda t: t.replace(": 0 ", ": x ", 1), "sl2vl entries must be integers"),
+    "unknown record": (lambda t: t.replace("switch 0\n", "switch 0\nroute 0 1\n", 1),
+                       "unknown record 'route'"),
+    "short LFT": (lambda t: re.sub(r"(switch 1\n(?:lid .*\n){5})lid .*\n", r"\1", t),
+                  "switch 1: LFT is not total over 0..5"),
+    "short SL2VL": (lambda t: re.sub(r"sl2vl .*\n(switch 2\n)", r"\1", t),
+                    "switch 1: SL2VL table is not total over the radix"),
+    "short groupmap": (lambda t: t.replace("groupmap 0 0 1 1 2 2", "groupmap 0 0 1 1 2"),
+                       "groupmap must give one integer SL group per switch"),
+}
+
+
+@pytest.mark.parametrize("engine, edit", [(e, name) for e in ("dla", "d3r") for name in _DUMP_EDITS
+                                          if e == "d3r" or name != "short groupmap"])
+def test_parse_reads_or_refuses_each_edit(engine, edit):
+    text = emit_fabric_dump(synthesize(build_topology(DragonflyParams(2, 1, 1)), engine))
+    change, why = _DUMP_EDITS[edit]
+    edited = change(text)
+    assert edited != text
+    if why is None:  # ignored, as README says
+        assert emit_fabric_dump(parse_fabric_dump(edited)) == text
+    else:
+        with pytest.raises(MalformedDump, match=re.escape(why)):
+            parse_fabric_dump(edited)

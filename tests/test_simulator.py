@@ -3,7 +3,6 @@ import heapq
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -222,8 +221,7 @@ def test_saturation_results_are_pinned(key):
 
 @pytest.mark.parametrize("key", sorted(PINNED_RESULTS), ids=lambda k: "-".join(map(str, k)))
 def test_end_state_is_pinned(key):
-    cfg = _pinned_config(key)
-    sim = _FabricSim(replace(cfg, pattern=cfg.pattern.bind(cfg.topology.num_endnodes, cfg.seed)))
+    sim = _FabricSim(_pinned_config(key))
     sim.run()
     assert (sim.injected, sim.delivered, sim.in_fabric, _state_digest(sim)) \
         == PINNED_END_STATE[key]
@@ -243,7 +241,7 @@ routing = synthesize(topo, "dla")
 
 def fresh(load=1.0):
     return _FabricSim(SimConfig(
-        topology=topo, routing=routing, pattern=UniformTraffic().bind(6, 1), offered_load=load,
+        topology=topo, routing=routing, pattern=UniformTraffic(), offered_load=load,
         buffer_depth=2, warmup_s=0.02e-3, measure_s=0.1e-3))
 
 
@@ -326,7 +324,7 @@ def test_no_output_idles_while_a_head_could_take_it(shape, engine, voq, depth, l
     cfg = _config(engine, pattern=pattern(), params=DragonflyParams.parse(shape), voq=voq,
                   buffer_depth=depth, offered_load=load, seed=seed,
                   warmup_s=5e-6, measure_s=40e-6)
-    sim = _FabricSim(replace(cfg, pattern=cfg.pattern.bind(cfg.topology.num_endnodes, seed)))
+    sim = _FabricSim(cfg)
     pop = heapq.heappop
     done = []  # the times whose events have all run when the next one is popped
 

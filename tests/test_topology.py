@@ -44,7 +44,8 @@ def test_params_balanced_and_oversubscribed():
     assert not _balanced(DragonflyParams(3, 3, 2))
 
 
-@pytest.mark.parametrize("bad", [(0, 1, 1, 0), (1, 0, 1, 0), (1, 1, 0, 0), (2, 1, 1, 1), (2, 1, 1, 4)])
+@pytest.mark.parametrize("bad", [(0, 1, 1, 0), (1, 0, 1, 0), (1, 1, 0, 0), (2, 1, 1, 1), (2, 1, 1, 4),
+                                 (2.0, 1, 1, 0)])  # a must be an integer, got 2.0
 def test_params_rejects_invalid(bad):
     with pytest.raises(InvalidParams):
         DragonflyParams(*bad)
@@ -190,6 +191,10 @@ def test_channel_kind_classification():
         channel_kind(topo, "s0", 99)
     with pytest.raises(UnknownChannel):
         channel_kind(topo, "x0", 0)
+    with pytest.raises(UnknownChannel, match="port 99 out of range"):
+        topo.port_kind(99)
+    with pytest.raises(UnknownChannel, match="switches 0 and 4 are not group-mates"):
+        topo.local_port(0, 4)
 
 
 # -- analytic flow counts ----------------------------------------------------

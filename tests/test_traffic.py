@@ -83,6 +83,14 @@ def test_hotspot_too_small_fabric_rejected():
         HotspotTraffic().bind(20, seed=1)     # h_s = 1 -> no victims
 
 
+@pytest.mark.parametrize("pattern, n", [(UniformTraffic, 1), (UniformTraffic, 0),
+                                        (Stencil3dTraffic, 1), (Stencil3dTraffic, 0),
+                                        (Stencil3dTraffic, -3)])  # -3 was a bare TypeError
+def test_patterns_refuse_fewer_than_two_endnodes(pattern, n):
+    with pytest.raises(InvalidParams, match="traffic needs at least 2 endnodes"):
+        pattern().bind(n, seed=1)
+
+
 def test_make_pattern_factory():
     assert make_pattern("uniform").name == "uniform"
     assert make_pattern("stencil3d", dims=(3, 4, 6)).dims == (3, 4, 6)
