@@ -20,7 +20,9 @@ Model highlights:
 * Open-loop injection: a Bernoulli draw per source per packet slot at the
   offered rate; source queues are unbounded and accepted throughput counts
   delivered tails inside the measurement window only.
-* A packet is an immutable (destination, SL) pair. SimConfig checks the dla
+* A packet is an immutable (destination, SL) pair, made once per run for each
+  destination and SL in use and shared by every packet with that pair, so a
+  source queue grows by one reference per packet. SimConfig checks the dla
   VL-shift rule on the tables once, so no grant re-checks it.
 * An HCA always accepts, so a delivery is counted at the grant onto its last
   link, at the landing time that grant fixes; no event marks the landing.
@@ -212,8 +214,10 @@ class _FabricSim:
     It binds the config's pattern to the fabric size and seed, as `pattern`.
 
     Switch state is indexed [switch][port]: fifos[s][ip][vl] maps a FIFO key
-    (the output port under VOQ, 0 without) to a list of (dst, sl) packets;
-    pending[s][op] maps (ip, vl) to the head packet that waits for output op.
+    (the output port under VOQ, 0 without) to a list of (dst, sl) packets,
+    with a lane for each VL the tables use (no packet reaches a higher VL);
+    occ and credits keep all DATA_VLS entries. pending[s][op] maps (ip, vl) to
+    the head packet that waits for output op.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -226,7 +230,8 @@ class _FabricSim:
         self.pattern = cfg.pattern.bind(n, cfg.seed)
 
         ns = topo.num_switches
-        self.fifos = [[[defaultdict(list) for _ in range(DATA_VLS)] for _ in range(radix)]
+        vls = cfg.routing.resources[1]
+        self.fifos = [[[defaultdict(list) for _ in range(vls)] for _ in range(radix)]
                       for _ in range(ns)]
         self.occ = [[[0] * DATA_VLS for _ in range(radix)] for _ in range(ns)]
         self.in_busy = [[0] * radix for _ in range(ns)]
@@ -265,7 +270,10 @@ class _FabricSim:
         radix = topo.params.radix
         rng = random.Random(cfg.seed)
         choose = self.pattern.choose
-        sl = cfg.routing.sl
+        ns = topo.num_switches
+        # the SL of each (src switch, dst switch) pair, and one shared packet per (SL, dst)
+        sl_of = [bytes(cfg.routing.sl(s, d) for d in range(ns)) for s in range(ns)]
+        packets = [[(dst, sl) for dst in range(n)] for sl in range(cfg.routing.resources[0])]
         src_load = [self.pattern.source_load(e, cfg.offered_load) for e in range(n)]
         lft = cfg.routing.lft
         sl2vl = cfg.routing.sl2vl
@@ -276,7 +284,7 @@ class _FabricSim:
         end = warm + cfg.measure_ps
         fifos, occ, credits = self.fifos, self.occ, self.credits
         in_busy, out_busy, pending, rr_last = self.in_busy, self.out_busy, self.pending, self.rr_last
-        release_at = [0] * topo.num_switches  # the last release time scheduled per switch
+        release_at = [0] * ns  # the last release time scheduled per switch
         hca_q, hca_busy, hca_credit = self.hca_q, self.hca_busy, self.hca_credit
         measured_by_dst = self.measured_by_dst
         injected = delivered = in_fabric = 0
@@ -429,7 +437,7 @@ class _FabricSim:
                         if ld > 0.0 and rng.random() < ld:
                             dst = choose(e, rng)
                             injected += 1
-                            hca_q[e].append((dst, sl(e // p, dst // p)))
+                            hca_q[e].append(packets[sl_of[e // p][dst // p]][dst])
                             hca_try(e, t)
                     if t + PACKET_PS < end:
                         at(t + PACKET_PS, (_E_SLOT, 0, 0, -1, None))

@@ -3,6 +3,7 @@ import heapq
 import os
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -202,6 +203,19 @@ PINNED_END_STATE = {
 }
 
 
+# sha256 over every source queue's packets, in order, when a saturation run of
+# PINNED_RESULTS stops. The end-state digest sees only queue lengths; this one
+# also sees each queued packet's destination and SL.
+PINNED_SOURCE_QUEUES = {
+    ("dla", True): "9293e0294432f1b5a75d005e234f61240ea31a8f8b7868a7f7aa394b19e2ed23",
+    ("dla", False): "a93cf81b8d42d58d25e2df7ac96538655ea619baf6c742291655a6704a23f886",
+    ("d3r", True): "594c48bf0d1a523f871281e23405992b43bc04c323a9f5fa73e155fa7dad3efe",
+    ("d3r", False): "486f1aebdadd065bedb7b9ea13096e0a32fdf499f141d6fa600930af5eb00b08",
+    ("updn", True): "0aabdcb098d988914d0a09607470e4bb62757dc9402d231df81f99f7368ae5f7",
+    ("updn", False): "3e2b2c65e385a98b3699c547e0d09329c637bcb9f6268732764c3b558a85ea45",
+}
+
+
 def _pinned_config(key):
     engine, voq, pattern, depth, load = key + ("uniform", 16, 1.0)[len(key) - 2:]
     return _config(engine, pattern=make_pattern(pattern), voq=voq, buffer_depth=depth,
@@ -227,10 +241,58 @@ def test_end_state_is_pinned(key):
         == PINNED_END_STATE[key]
 
 
+@pytest.mark.parametrize("key", sorted(PINNED_SOURCE_QUEUES), ids=lambda k: "-".join(map(str, k)))
+def test_source_queue_contents_are_pinned(key):
+    sim = _FabricSim(_pinned_config(key))
+    sim.run()
+    queues = repr([list(q) for q in sim.hca_q]).encode()
+    assert hashlib.sha256(queues).hexdigest() == PINNED_SOURCE_QUEUES[key]
+
+
+# -- memory ---------------------------------------------------------------------
+
+def test_a_queued_packet_keeps_at_most_16_bytes():
+    # a fresh (dst, sl) tuple per packet kept about 53 bytes; a shared one keeps
+    # one 8-byte deque reference
+    def kept_and_queued(measure_s):
+        sim = _FabricSim(_config("updn", voq=False, offered_load=1.0, warmup_s=0.0,
+                                 measure_s=measure_s))
+        tracemalloc.start()
+        try:
+            sim.run()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return kept, sum(map(len, sim.hca_q))
+
+    (kept_short, queued_short), (kept_long, queued_long) = map(kept_and_queued, (0.1e-3, 0.3e-3))
+    assert queued_long - queued_short > 10_000
+    assert kept_long - kept_short <= 16 * (queued_long - queued_short), \
+        (kept_long - kept_short) / (queued_long - queued_short)
+
+
+def test_a_fresh_simulator_keeps_at_most_1000_bytes_per_port():
+    # a FIFO map for each of the 8 VLs kept about 1,320 bytes per port at 342
+    # endnodes; lanes only for the VLs the tables use keep 790-860
+    topo = build_topology(DragonflyParams(6, 3, 3))
+    bound = 1000 * topo.num_switches * topo.params.radix
+    for engine in ("dla", "d3r", "updn"):
+        cfg = SimConfig(topology=topo, routing=synthesize(topo, engine), pattern=UniformTraffic())
+        tracemalloc.start()
+        try:
+            sim = _FabricSim(cfg)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept <= bound, (engine, kept, bound)
+        assert len(sim.fifos[0][0]) == cfg.routing.resources[1]
+
+
 # -- invariants -----------------------------------------------------------------
 
 _BROKEN_PROTOCOL = """
 import sys
+import tracemalloc
 from dflysim import (DragonflyParams, InvariantViolation, UniformTraffic, build_topology,
                      emit_fabric_dump, parse_fabric_dump, synthesize)
 from dflysim.simulator import SimConfig, _FabricSim
