@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import RoutingLoop
-from .routing import RoutingConfig, check_shape, route_walk
+from .routing import INJECTION_VL, RoutingConfig, check_shape, route_walk
 from .topology import Topology
 
 Vertex = tuple[int, int]  # (channel id, vl)
@@ -94,13 +94,11 @@ def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGra
     # a vertex code is channel id << 4 | VL: VLs are 4-bit, as check_shape checks.
     # Only wired ports have a code (-1 marks the others), so the walk fails on any other LFT port.
     out_code = [array("l", [-1]) * len(ports) for ports in peer]
-    inj: list[Vertex] = [(0, 0)] * n
     for ch in topology.channels:
         kind, node, port = ch.src
         if kind == "s":
             out_code[node][port] = ch.cid << 4
-        else:
-            inj[node] = (ch.cid, 0)
+    inj = [(topology.channel_at("h", e, 0).cid, INJECTION_VL) for e in range(n)]
     hosts: list[list[tuple[int, int]]] = [[] for _ in peer]  # [switch] -> (endnode, attach port)
     for e in range(n):
         hosts[topology.switch_of(e)].append((e, topology.attach_port(e)))
@@ -110,13 +108,11 @@ def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGra
         leads.append(on_s[:1] if once else on_s)
         followers.append(on_s[1:] if once else [])
     succ: dict[Vertex, dict[Vertex, int]] = {}  # u -> v -> src * n + dst, smallest so far
-    unused = [None] * len(topology.channels)
-    by_vl = [unused] * 16  # [VL] -> [channel id] -> vertex; a VL's own list is made on first use
+    # [VL] -> [channel id] -> vertex, for each VL the tables use: a walk reads no SL out of use
+    by_vl = [[None] * len(topology.channels) for _ in range(config.resources[1])]
 
     def vertex(v):
-        """Intern the vertex of code v, making its VL's list on first use."""
-        if by_vl[v & 15] is unused:
-            by_vl[v & 15] = [None] * len(unused)
+        """Intern the vertex of code v."""
         vt = by_vl[v & 15][v >> 4] = (v >> 4, v & 15)
         return vt
 

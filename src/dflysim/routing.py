@@ -29,6 +29,7 @@ from .errors import (InvariantViolation, MalformedDump, NotADragonfly, RoutingLo
 from .topology import GLOBAL, LOCAL, Topology
 
 MAX_SLS = 16
+INJECTION_VL = 0  # the HCA's SL-to-VL map sends every SL to VL 0, so packets enter on it
 
 
 # ---------------------------------------------------------------------------
@@ -384,16 +385,16 @@ def _kind_tables(topology: Topology, rule) -> list[list[list[tuple[int, ...]]]]:
 def route_walk(topology: Topology, config: RoutingConfig, src: int, dst: int):
     """Channel/VL sequence for one endnode pair: [(Channel, vl), ...].
 
-    Packets enter on VL 0 (HCA SL2VL is identity to VL 0); each switch output
-    re-assigns the VL through its SL2VL table. Raises UnknownChannel at an LFT
-    port with no channel, and RoutingLoop if the LFT does not deliver within
-    num_switches hops.
+    Packets enter on INJECTION_VL (the HCA's SL2VL sends every SL to VL 0);
+    each switch output re-assigns the VL through its SL2VL table. Raises
+    UnknownChannel at an LFT port with no channel, and RoutingLoop if the LFT
+    does not deliver within num_switches hops.
     """
     _check_size(topology, config)
     cur = topology.switch_of(src)
     sl = config.sl(cur, topology.switch_of(dst))
     ip = topology.attach_port(src)
-    seq = [(topology.channel_at("h", src, 0), 0)]
+    seq = [(topology.channel_at("h", src, 0), INJECTION_VL)]
     for _ in range(topology.num_switches + 1):
         op = config.lft[cur][dst]
         ch = topology.channel_at("s", cur, op)  # UnknownChannel for any unwired port

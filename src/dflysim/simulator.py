@@ -41,7 +41,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, replace
 
 from .errors import DeadlockDetected, InvalidParams, InvariantViolation, UnknownChannel
-from .routing import RoutingConfig, check_shape, check_vl_shift
+from .routing import INJECTION_VL, RoutingConfig, check_shape, check_vl_shift
 from .topology import Topology
 from .traffic import TrafficPattern
 
@@ -214,10 +214,10 @@ class _FabricSim:
     It binds the config's pattern to the fabric size and seed, as `pattern`.
 
     Switch state is indexed [switch][port]: fifos[s][ip][vl] maps a FIFO key
-    (the output port under VOQ, 0 without) to a list of (dst, sl) packets,
-    with a lane for each VL the tables use (no packet reaches a higher VL);
-    occ and credits keep all DATA_VLS entries. pending[s][op] maps (ip, vl) to
-    the head packet that waits for output op.
+    (the output port under VOQ, 0 without) to a list of (dst, sl) packets;
+    fifos, occ and credits hold one entry per VL the tables use
+    (RoutingConfig.resources[1]), since no packet reaches a higher VL.
+    pending[s][op] maps (ip, vl) to the head packet that waits for output op.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -233,10 +233,10 @@ class _FabricSim:
         vls = cfg.routing.resources[1]
         self.fifos = [[[defaultdict(list) for _ in range(vls)] for _ in range(radix)]
                       for _ in range(ns)]
-        self.occ = [[[0] * DATA_VLS for _ in range(radix)] for _ in range(ns)]
+        self.occ = [[[0] * vls for _ in range(radix)] for _ in range(ns)]
         self.in_busy = [[0] * radix for _ in range(ns)]
         self.out_busy = [[0] * radix for _ in range(ns)]
-        self.credits = [[[depth] * DATA_VLS for _ in range(radix)] for _ in range(ns)]
+        self.credits = [[[depth] * vls for _ in range(radix)] for _ in range(ns)]
         self.pending = [[{} for _ in range(radix)] for _ in range(ns)]
         self.rr_last = [[(-1, -1)] * radix for _ in range(ns)]
 
@@ -314,7 +314,7 @@ class _FabricSim:
             hca_credit[e] -= 1
             hca_busy[e] = t + PACKET_PS
             in_fabric += 1
-            at(t + _LINK_PS + _PIPE_PS, (_E_ENQ, e // p, e % p, 0, q.popleft()))
+            at(t + _LINK_PS + _PIPE_PS, (_E_ENQ, e // p, e % p, INJECTION_VL, q.popleft()))
             at(t + PACKET_PS, (_E_HCA, e, 0, -1, None))
 
         def arb(s, op, pend, t):

@@ -1,9 +1,11 @@
 import hashlib
 import heapq
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -223,7 +225,12 @@ def _pinned_config(key):
 
 
 def _state_digest(sim):
-    state = (sim.occ, sim.credits, sim.in_busy, sim.out_busy, sim.rr_last,
+    # the digests were pinned with 8 occupancy and credit entries per port; the
+    # VLs no table uses stay empty (occupancy 0) and full (credits = depth)
+    depth = sim.cfg.buffer_depth
+    occ = [[row + [0] * (8 - len(row)) for row in rows] for rows in sim.occ]
+    credits = [[row + [depth] * (8 - len(row)) for row in rows] for rows in sim.credits]
+    state = (occ, credits, sim.in_busy, sim.out_busy, sim.rr_last,
              sim.hca_credit, sim.hca_busy, [len(q) for q in sim.hca_q])
     return hashlib.sha256(repr(state).encode()).hexdigest()[:16]
 
@@ -271,11 +278,12 @@ def test_a_queued_packet_keeps_at_most_16_bytes():
         (kept_long - kept_short) / (queued_long - queued_short)
 
 
-def test_a_fresh_simulator_keeps_at_most_1000_bytes_per_port():
+def test_a_fresh_simulator_keeps_at_most_800_bytes_per_port():
     # a FIFO map for each of the 8 VLs kept about 1,320 bytes per port at 342
-    # endnodes; lanes only for the VLs the tables use keep 790-860
+    # endnodes; FIFO lanes only for the VLs the tables use kept 785-858 beside
+    # 8-entry occupancy and credit rows, and 673-762 with those rows cut to match
     topo = build_topology(DragonflyParams(6, 3, 3))
-    bound = 1000 * topo.num_switches * topo.params.radix
+    bound = 800 * topo.num_switches * topo.params.radix
     for engine in ("dla", "d3r", "updn"):
         cfg = SimConfig(topology=topo, routing=synthesize(topo, engine), pattern=UniformTraffic())
         tracemalloc.start()
@@ -285,7 +293,8 @@ def test_a_fresh_simulator_keeps_at_most_1000_bytes_per_port():
         finally:
             tracemalloc.stop()
         assert kept <= bound, (engine, kept, bound)
-        assert len(sim.fifos[0][0]) == cfg.routing.resources[1]
+        vls = cfg.routing.resources[1]
+        assert len(sim.fifos[0][0]) == len(sim.occ[0][0]) == len(sim.credits[0][0]) == vls
 
 
 # -- invariants -----------------------------------------------------------------
@@ -505,6 +514,14 @@ def test_determinism_same_seed_same_result():
     assert a.per_endnode == b.per_endnode
     c = run_sim(_config(offered_load=0.5, seed=43))
     assert c.result_hash != a.result_hash
+    # a dump whose unused SLs (all but SL 0 under dla) map to VL 15 runs the same:
+    # no packet reads an SL out of use, so no lane is made for VL 15
+    text = re.sub(r"^(sl2vl .*: \d+)( \d+){15}$", r"\1" + " 15" * 15,
+                  emit_fabric_dump(_config().routing), flags=re.M)
+    doctored = parse_fabric_dump(text)
+    assert doctored.sl2vl[0][0][0][1:] == (15,) * 15
+    assert run_sim(replace(_config(offered_load=0.5, seed=42), routing=doctored)).result_hash \
+        == a.result_hash
 
 
 def test_per_endnode_series_shape():
