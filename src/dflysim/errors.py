@@ -38,7 +38,7 @@ class RoutingLoop(DflyError):
 
 
 class DeadlockDetected(DflyError):
-    """The simulated fabric stopped making progress with packets in flight."""
+    """The simulated fabric locked: packets remain and none can ever move."""
 
 
 class InvariantViolation(DflyError):

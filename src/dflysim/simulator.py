@@ -26,8 +26,9 @@ Model highlights:
   VL-shift rule on the tables once, so no grant re-checks it.
 * An HCA always accepts, so a delivery is counted at the grant onto its last
   link, at the landing time that grant fixes; no event marks the landing.
-* The stall check is a deadline, not an event: it runs before the events of
-  the first time at or after it is due, and reads the deliveries granted so far.
+* A deadlock is raised at the lock: when the next injection slot is the only
+  event due while packets are in the fabric, every head waits on a full lane
+  with no credit in flight, and no event can ever free one.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ class SimConfig:
             "link_latency_s": LINK_LATENCY_S,
             "pipeline_latency_s": PIPELINE_LATENCY_S,
             "credit_latency_s": CREDIT_LATENCY_S,
-            "stall_horizon_s": None,  # derived in run(); the key keeps config hashes stable
+            "stall_horizon_s": None,  # no horizon exists; the key keeps config hashes stable
         }
 
     @property
@@ -288,8 +289,6 @@ class _FabricSim:
         hca_q, hca_busy, hca_credit = self.hca_q, self.hca_busy, self.hca_credit
         measured_by_dst = self.measured_by_dst
         injected = delivered = in_fabric = 0
-        last_delivery = max_warm_gap = 0
-        watch_at, watch_count = warm, -1  # stall checks: at warm-up's end, then every horizon
 
         # exact-time buckets: the events due at each time, in the order they
         # were scheduled, and a heap of the distinct pending times
@@ -319,7 +318,7 @@ class _FabricSim:
 
         def arb(s, op, pend, t):
             """Arbitrate idle output op of switch s over its non-empty `pend`."""
-            nonlocal delivered, in_fabric, last_delivery, max_warm_gap
+            nonlocal delivered, in_fabric
             vrow = sl2vl[s][op]
             cred = credits[s][op]
             busy = in_busy[s]
@@ -366,9 +365,6 @@ class _FabricSim:
                     in_fabric -= 1
                     if td >= warm:
                         measured_by_dst[down[1]] += 1
-                    elif td - last_delivery > max_warm_gap:
-                        max_warm_gap = td - last_delivery
-                    last_delivery = td
                 at(td + _CREDIT_PS, (_E_CREDIT, s, op, ovl, None))
             else:
                 at(t + _LINK_PS + _PIPE_PS, (_E_ENQ, down[1], down[2], ovl, pkt))
@@ -380,17 +376,6 @@ class _FabricSim:
             t = pop_time(times)
             if t >= end:
                 break
-            # each check due by t runs before t's events; the horizon is 10x the largest
-            # warm-up delivery gap (fixed by the check at warm-up's end), at least 1 ms
-            while watch_at <= t:
-                horizon_ps = max(10 * max_warm_gap, _PS // 1000)
-                if watch_count == delivered and injected > delivered:
-                    raise DeadlockDetected(
-                        f"no delivery for {horizon_ps / _PS * 1e3:.3f} ms of simulated time "
-                        f"with {injected - delivered} packets outstanding"
-                    )
-                watch_count = delivered
-                watch_at += horizon_ps
             # events that fall due at t while the bucket runs join its end
             for code, a, b, c, d in buckets[t]:
                 if code == _E_ENQ:
@@ -432,6 +417,13 @@ class _FabricSim:
                         raise InvariantViolation("HCA credit over-return")
                     hca_try(a, t)
                 else:  # _E_SLOT
+                    # no release, credit, arrival or HCA retry is due, now or later: every
+                    # packet in the fabric waits on a full lane that no event can drain
+                    if in_fabric and not times and len(buckets[t]) == 1:
+                        raise DeadlockDetected(
+                            f"fabric locked at {t / _PS * 1e6:.3f} us of simulated time with "
+                            f"{in_fabric} packets in switch buffers, "
+                            f"{injected - delivered} outstanding")
                     for e in range(n):
                         ld = src_load[e]
                         if ld > 0.0 and rng.random() < ld:
@@ -476,9 +468,9 @@ class _FabricSim:
 def run_sim(config: SimConfig) -> SimResult:
     """Run one load point of `config` as given. Deterministic for a fixed (config, seed).
 
-    Raises DeadlockDetected when the fabric stops delivering while packets
-    remain for the stall horizon (a routing-configuration bug, not a simulator
-    error).
+    Raises DeadlockDetected at the moment the fabric locks: packets remain in
+    it and no event but the next injection slot is due (a routing-configuration
+    bug, not a simulator error).
     """
     sim = _FabricSim(config)
     sim.run()

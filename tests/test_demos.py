@@ -35,7 +35,7 @@ def test_demo_exits_zero(demo):
 
 @pytest.mark.slow
 def test_throughput_demo_shows_the_stall():
-    assert "DeadlockDetected: no delivery for" in _run_demo("04_throughput_study.py")
+    assert "DeadlockDetected: fabric locked at" in _run_demo("04_throughput_study.py")
 
 
 def _readme():

@@ -13,11 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dflysim import (
+    ChannelDependencyGraph,
     DeadlockDetected,
     DragonflyParams,
     InvalidParams,
     UniformTraffic,
+    build_cdg,
     build_topology,
+    check_deadlock_free,
     emit_fabric_dump,
     make_pattern,
     parse_fabric_dump,
@@ -585,34 +588,109 @@ def test_hotspot_excludes_victims_from_metric():
 
 # -- deadlock detection ------------------------------------------------------------
 
-def test_cyclic_config_deadlocks_under_pressure():
-    """The shift-disabled variant has a cyclic dependency graph; with minimal
-    buffering at full load a stall manifests and is reported as an error.
+# The shift-disabled dla variant has a cyclic dependency graph; with minimal buffering
+# at full load these fabrics lock. Each case: voq, buffer depth, seed, warm-up, message.
+LOCKING_CASES = (
+    (False, 1, 1, 0.1e-3, "48.128 us of simulated time with 159 packets in switch buffers, "
+                          "2900 outstanding"),
+    (False, 1, 1, 0.0, "48.128 us of simulated time with 159 packets in switch buffers, "
+                       "2900 outstanding"),
+    (False, 2, 2, 0.1e-3, "46.080 us of simulated time with 299 packets in switch buffers, "
+                          "2484 outstanding"),
+    (True, 2, 3, 0.0, "114.688 us of simulated time with 341 packets in switch buffers, "
+                      "5234 outstanding"),
+    (False, 1, 4, 0.02e-3, "76.800 us of simulated time with 147 packets in switch buffers, "
+                           "4688 outstanding"),
+)
 
-    The backlog in the message pins the moment of the check that fires. The
-    stall check runs at warm-up's end and then once per 1 ms horizon; these
-    fabrics stop delivering before 0.1 ms, so a stall is caught at 1.1 ms
-    with 0.1 ms of warm-up, at 2 ms without warm-up, whose first check at
-    0 ms precedes every delivery, and at 2.02 ms with 0.02 ms of warm-up,
-    where the fabric still delivers after the first check.
-    """
-    for voq, buffer_depth, seed, warmup_s, outstanding in (
-            (False, 1, 1, 0.1e-3, 76916),
-            (False, 1, 1, 0.0, 140204),
-            (False, 2, 2, 0.1e-3, 76644),
-            (True, 2, 3, 0.0, 137858),
-            (False, 1, 4, 0.02e-3, 141344)):
-        cfg = _config(engine="dla-noshift", voq=voq, buffer_depth=buffer_depth,
-                      offered_load=1.0, seed=seed,
-                      warmup_s=warmup_s, measure_s=3e-3)
+
+def _locking_config(voq, buffer_depth, seed, warmup_s):
+    return _config(engine="dla-noshift", voq=voq, buffer_depth=buffer_depth,
+                   offered_load=1.0, seed=seed, warmup_s=warmup_s, measure_s=3e-3)
+
+
+def test_cyclic_config_deadlocks_under_pressure():
+    """A lock is raised at the injection slot where nothing else is due: the
+    message pins that time, the packets in switch buffers and the packets
+    outstanding (in switch buffers or still queued at their HCA). Warm-up does
+    not move the lock, so the first two cases raise alike, and every case
+    raises within about 0.115 ms of simulated time."""
+    for voq, buffer_depth, seed, warmup_s, message in LOCKING_CASES:
         with pytest.raises(DeadlockDetected) as exc:
-            run_sim(cfg)
-        assert str(exc.value) == ("no delivery for 1.000 ms of simulated time "
-                                  f"with {outstanding} packets outstanding")
+            run_sim(_locking_config(voq, buffer_depth, seed, warmup_s))
+        assert str(exc.value) == "fabric locked at " + message
+
+
+def _wait_for_graph(sim):
+    """The wait-for graph of a locked fabric, as a CDG successor map.
+
+    A pending head in (switch, input, VL) bound for output VL ovl waits from
+    (the channel into that input, VL) on (the output's channel, ovl). Asserts
+    that each such head is blocked for good: its output VL has no credit and
+    the downstream lane holds a full buffer."""
+    topo, routing = sim.cfg.topology, sim.cfg.routing
+    succ = {}
+    for s, outputs in enumerate(sim.pending):
+        for op, pend in enumerate(outputs):
+            for (ip, vl), (_, sl) in pend.items():
+                ovl = routing.sl2vl[s][op][ip][sl]
+                kind, s2, p2 = topo.peer[s][op]
+                assert kind == "s" and sim.credits[s][op][ovl] == 0
+                assert sim.occ[s2][p2][ovl] == sim.cfg.buffer_depth
+                u = (topo.channel_at(*topo.peer[s][ip]).cid, vl)
+                succ.setdefault(u, {})[(topo.channel_at("s", s, op).cid, ovl)] = 0
+    return succ
+
+
+def test_each_raise_is_a_lock():
+    """At each raise, every packet in the fabric sits in a switch buffer, every
+    head waits on a full lane, the waits close a cycle, and each wait is a
+    dependency of the tables' CDG (Dally & Seitz, IEEE Trans. Comput. 1987)."""
+    topo = build_topology(DragonflyParams(4, 2, 2))
+    cdg = build_cdg(topo, synthesize(topo, "dla", vl_shift=False))
+    for voq, buffer_depth, seed, warmup_s, _ in LOCKING_CASES:
+        sim = _FabricSim(_locking_config(voq, buffer_depth, seed, warmup_s))
+        with pytest.raises(DeadlockDetected) as exc:
+            sim.run()
+        in_fabric = int(re.search(r"with (\d+) packets in switch buffers", str(exc.value))[1])
+        assert sum(sum(map(sum, per_switch)) for per_switch in sim.occ) == in_fabric
+        succ = _wait_for_graph(sim)
+        assert not check_deadlock_free(ChannelDependencyGraph(succ, sim.n)).acyclic
+        assert all(v in cdg.succ.get(u, ()) for u, vs in succ.items() for v in vs)
+
+
+@pytest.mark.parametrize("load", [0.1, 1.0])
+def test_routing_loop_locks(load):
+    """Switches 0 and 1 of 2,1,1 send destination 2 to each other: its packets
+    circle until both local lanes hold a full buffer, and the fabric locks."""
+    topo = build_topology(DragonflyParams(2, 1, 1))
+    routing = synthesize(topo, "updn")
+    lft = [row[:] for row in routing.lft]
+    lft[0][2], lft[1][2] = topo.local_port(0, 1), topo.local_port(1, 0)
+    cfg = SimConfig(topology=topo, routing=replace(routing, lft=lft), pattern=UniformTraffic(),
+                    offered_load=load, buffer_depth=2, warmup_s=0, measure_s=0.2e-3)
+    with pytest.raises(DeadlockDetected, match="^fabric locked at "):
+        run_sim(cfg)
+    sim = _FabricSim(cfg)
+    with pytest.raises(DeadlockDetected):
+        sim.run()
+    loop = [(topo.channel_at("s", s, topo.local_port(s, 1 - s)).cid, 0) for s in (0, 1)]
+    cycle = check_deadlock_free(ChannelDependencyGraph(_wait_for_graph(sim), sim.n)).cycle
+    assert sorted(cycle) == sorted(loop)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.sampled_from(["2,1,1", "1,2,1", "2,1,2"]),
+       engine=st.sampled_from(["dla", "d3r", "updn"]), voq=st.booleans(),
+       depth=st.integers(1, 3), load=st.floats(0.05, 1.0), seed=st.integers(0, 1000))
+def test_live_fabric_never_raises(shape, engine, voq, depth, load, seed):
+    """Every engine's tables have an acyclic CDG, so the fabric cannot lock."""
+    run_sim(_config(engine, params=DragonflyParams.parse(shape), voq=voq, buffer_depth=depth,
+                    offered_load=load, seed=seed, warmup_s=0, measure_s=100e-6))
 
 
 def test_deadlock_free_config_does_not_trip_watchdog():
-    # the 1 ms minimum horizon checks at 1.1 and 2.1 ms, inside this window
+    # minimal buffering at full load on acyclic tables: a slow fabric, never a lock
     cfg = _config(voq=False, buffer_depth=1, offered_load=1.0, seed=1,
                   warmup_s=0.1e-3, measure_s=2.5e-3)
     r = run_sim(cfg)
