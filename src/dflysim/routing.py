@@ -629,27 +629,41 @@ def parse_fabric_dump(text: str) -> RoutingConfig:
     lft: list = []                    # [switch] -> ports, an array once all are read
     sl2vl: list[list] = []            # [switch] -> sl2vl rows, split by out port once all are read
     rows: dict[tuple[int, ...], tuple[int, ...]] = {}  # interned: equal rows share one tuple
+    vl_texts: dict[str, tuple[int, ...]] = {}  # the VL text of each sl2vl row checked so far
     radix = None                      # set by switch 0's first out 1 row
+    ports = table = None              # this switch's LFT while lid records may come; its sl2vl rows
 
     def fail(lineno, why):
         raise MalformedDump(f"line {lineno}: {why}")
 
     for lineno, line in enumerate(_lines(text), 1):
+        # a line as emit_fabric_dump writes it takes one prefix test; any other, the split below
+        if ports is not None:
+            head = f"lid {len(ports)} port "
+            if line.startswith(head) and line[len(head):].isdecimal():
+                ports.append(int(line[len(head):]))
+                continue
+        elif radix and table is not None:
+            head = f"sl2vl out {len(table) // radix} in {len(table) % radix}: "
+            vls = vl_texts.get(line[len(head):]) if line.startswith(head) else None
+            if vls is not None:
+                table.append(vls)
+                continue
         words = line.split()
         if not words:
             continue
         key = words[0]
         if key == "lid":
-            if not lft or sl2vl[-1]:
+            if ports is None:
                 fail(lineno, "a lid record must follow a switch record or a lid record")
-            ports, port = lft[-1], words[-1]
+            port = words[-1]
             if words != ["lid", str(len(ports)), "port", port] or not port.isdecimal():
                 fail(lineno, f"expected lid {len(ports)} port <port>")
             ports.append(int(port))
         elif key == "sl2vl":  # sl2vl out <op> in <ip>: v0 v1 ... v15
-            if not lft or len(words) != 5 + MAX_SLS:
+            if table is None or len(words) != 5 + MAX_SLS:
                 fail(lineno, "bad sl2vl line")
-            table = sl2vl[-1]
+            ports = None  # no lid record after the first sl2vl row
             if radix is None and words[2:5] == ["1", "in", "0:"]:
                 radix = len(table)  # switch 0's first out 1 row
             op, ip = divmod(len(table), radix) if radix else (0, len(table))
@@ -660,12 +674,14 @@ def parse_fabric_dump(text: str) -> RoutingConfig:
             vls = tuple(map(int, words[5:]))
             if max(vls) >= MAX_SLS:
                 fail(lineno, "VL index out of range 0..15")
-            table.append(rows.setdefault(vls, vls))
+            vls = vl_texts[" ".join(words[5:])] = rows.setdefault(vls, vls)
+            table.append(vls)
         elif key == "switch":
             if words != ["switch", str(len(lft))]:
                 fail(lineno, f"expected switch {len(lft)}: switch ids must be dense and in order")
-            lft.append([])
-            sl2vl.append([])
+            ports, table = [], []
+            lft.append(ports)
+            sl2vl.append(table)
         elif key in ("engine", "vlshift", "sls", "vls", "slpolicy", "groupmap"):
             if lft:
                 fail(lineno, f"{key} record after the switch records")

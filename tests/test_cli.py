@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dflysim import __version__
-from dflysim import manifest as manifest_mod
 from dflysim.cli import main
 from dflysim.manifest import CSV_HEADER, parse_manifest
 from dflysim.errors import DflyError, ManifestError
@@ -305,7 +305,7 @@ class _RecordingPool:
 
 @pytest.mark.parametrize("jobs, pool", [(1, None), (2, 2), (3, 2)])
 def test_sweep_starts_no_more_workers_than_rows(tmp_path, monkeypatch, capsys, jobs, pool):
-    monkeypatch.setattr(manifest_mod, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     manifest = _write_manifest(tmp_path)
     out_dir = tmp_path / "out"
@@ -325,7 +325,7 @@ def test_resuming_a_complete_sweep_starts_no_pool(tmp_path, monkeypatch, capsys)
     assert main(["sweep", str(manifest), "--out-dir", str(out_dir)]) == 0
     files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
     first = capsys.readouterr().out.splitlines()
-    monkeypatch.setattr(manifest_mod, "ProcessPoolExecutor", _RefusingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RefusingPool)
     assert main(["sweep", str(manifest), "--out-dir", str(out_dir), "--jobs", "2"]) == 0
     resumed = capsys.readouterr().out.splitlines()
     assert resumed == [line.replace(": done", ": skipped") for line in first]
@@ -335,7 +335,7 @@ def test_resuming_a_complete_sweep_starts_no_pool(tmp_path, monkeypatch, capsys)
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_sweep_jobs_below_one_exits_2(tmp_path, monkeypatch, capsys, jobs):
-    monkeypatch.setattr(manifest_mod, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     manifest = _write_manifest(tmp_path)
     out_dir = tmp_path / "out"

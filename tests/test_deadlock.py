@@ -377,7 +377,8 @@ def test_build_cdg_matches_oracle_on_parsed_dump_with_per_switch_tables():
 
 
 def _corrupted(how):
-    """A 72-endnode dla config with one LFT column broken for destination 50."""
+    """A 72-endnode dla config with one LFT column broken for destination 50; "batch"
+    breaks the columns of 52 and 54 too, on the other switches of 50's group."""
     topo = build_topology(DragonflyParams(4, 2, 2))
     config = synthesize(topo, "dla")
     dst = 50
@@ -389,12 +390,18 @@ def _corrupted(how):
         config.lft[dsw][dst] = topo.local_port(dsw, dsw + 1)
     elif how == "misdelivery":     # switch 9 hands the packet to its own endnode
         config.lft[9][dst] = 1
+    elif how == "batch":           # one source loops toward switches 25 and 26 and misdelivers
+        for d in (dst, dst + 2):   # toward switch 27, and finds the misdelivery first
+            config.lft[4][d] = topo.local_port(4, 5)
+            config.lft[5][d] = topo.local_port(5, 4)
+        config.lft[4][dst + 4] = 0
     else:                          # the destination switch delivers to dst's neighbour
         config.lft[dsw][dst] = topo.attach_port(dst + 1)
     return topo, config
 
 
-@pytest.mark.parametrize("how", ["cycle", "cycle-at-dst", "misdelivery", "misdelivery-at-dst"])
+@pytest.mark.parametrize("how", ["cycle", "cycle-at-dst", "misdelivery", "misdelivery-at-dst",
+                                 "batch"])
 def test_routing_loop_names_the_same_pair_as_the_oracle(how):
     topo, config = _corrupted(how)
     with pytest.raises(RoutingLoop) as ref:
@@ -556,6 +563,15 @@ def test_shift_disabled_dla_witness_at_342_endnodes_is_pinned():
     assert check_deadlock_free(cdg) == PINNED_NOSHIFT_REPORT_342
 
 
+# the same digests at 2550 endnodes, recorded from the builder that walked once
+# per source switch and destination class
+PINNED_CDGS_2550 = {
+    "dla": "69118f15c6b8ed6575417a7c93976f8956f0d7679490f98ba9a0d605954671d2",
+    "d3r": "e8e8570ca1aad6878d68190c12e5f0dad8ebcb53b3312b804f26e598352cd53f",
+    "updn": "235cbd658a3b5ebefcc8c5ffef18d44d8706f974f4554a2301183d8c7c4f4fbb",
+}
+
+
 @pytest.mark.slow
 def test_engines_acyclic_at_2550_endnodes():
-    _assert_engines_acyclic(DragonflyParams(10, 5, 5))
+    assert _assert_engines_acyclic(DragonflyParams(10, 5, 5)) == PINNED_CDGS_2550

@@ -1,7 +1,9 @@
 """The package imports the standard library only (zero runtime dependencies)."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dflysim"
@@ -40,3 +42,16 @@ def test_the_package_has_no_assert_statement():
         tree = ast.parse(path.read_text(), str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], f"{path.name}: assert on lines {lines}"
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # a sweep imports concurrent.futures when it starts a pool; a run that starts
+    # none would pay about 2.5 MB of memory for it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, dflysim, dflysim.manifest; "
+                               "print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
