@@ -12,17 +12,18 @@ Three deterministic deadlock-free engines are synthesized from the topology:
 between them. The minimal engines route on the topology's own grouping; a
 grouping the caller passes must relabel to it. `discover_groups` recovers a
 grouping from the bare switch graph (closed neighborhoods / maximal cliques).
+Each LFT row is built whole as an `array` of ports: the minimal engines join
+per-group runs of ports, and up*/down* packs each row by port bit plane.
 """
 
 from __future__ import annotations
 
-import struct
+import sys
 from array import array
 from collections import deque
 from collections.abc import MutableSequence
 from dataclasses import dataclass
 from itertools import chain, zip_longest
-from operator import itemgetter
 
 from .errors import (InvariantViolation, MalformedDump, NotADragonfly, RoutingLoop,
                      UnsupportedParams, UnsupportedTopology)
@@ -307,67 +308,47 @@ def check_vl_shift(topology: Topology, config: RoutingConfig) -> None:
 # shared synthesis helpers
 # ---------------------------------------------------------------------------
 
-def _minimal_next_port(topology: Topology):
-    """Switch-level next-output-port rows for minimal Dragonfly routing.
-
-    Route shape: optional local hop to the switch owning the global channel,
-    the single global hop, optional local hop inside the destination group.
-    Ties (parallel global channels) go to the lowest (switch id, port). Each
-    switch picks one port per destination group and copies it to the group's
-    switches; only its own group-mates get a port each. Rows are yielded one
-    switch at a time, so no switch x switch table is held.
-    """
-    S = topology.num_switches
-    gid = topology.switch_group
-    G = topology.params.g
-    members: list[list[int]] = [[] for _ in range(G)]
-    for s, g in enumerate(gid):
-        members[g].append(s)
-    # per switch: destination group -> lowest egress port
-    egress: list[dict[int, int]] = [{} for _ in range(S)]
-    # per group pair: lowest switch in src group owning a cable to dst group
-    owner: dict[tuple[int, int], int] = {}
-    for s in range(S):  # ascending switches, each with its global ports ascending
-        for port, _, gd in topology.global_ports(s):
-            egress[s].setdefault(gd, port)
-            owner.setdefault((gid[s], gd), s)
-
-    by_group = itemgetter(*gid)  # a per-group list -> a per-switch tuple
-    for s in range(S):
-        gs, out = gid[s], egress[s]
-        group_port = [-1] * G
-        for gt in range(G):
-            if gt != gs:
-                group_port[gt] = out[gt] if gt in out else topology.local_port(s, owner[gs, gt])
-        row = list(by_group(group_port))
-        for t in members[gs]:
-            if t != s:
-                row[t] = topology.local_port(s, t)
-        yield row
-
-
 def _port_typecode(radix: int) -> str:
     """The narrowest signed `array` type that holds every port below the radix:
     'b' up to radix 128. Signed, so a row can hold -1 as a list row can."""
     return next(t for t in "bhiq" if radix <= 1 << 8 * array(t).itemsize - 1)
 
 
-def _expand_lft(topology: Topology, np_rows) -> list[array]:
-    """Endnode-level LFT from switch-level next-port rows, one per switch in
-    order: each switch's next port covers its p endnodes, and a switch's own
-    endnodes take their attach ports."""
-    p = topology.params.p
-    n = topology.num_endnodes
-    typecode = _port_typecode(topology.params.radix)
-    attach = array(typecode, range(p))
+def _minimal_lft(topology: Topology) -> list[array]:
+    """Endnode-level LFT rows for minimal Dragonfly routing.
+
+    Route shape: optional local hop to the switch owning the global channel,
+    the single global hop, optional local hop inside the destination group.
+    Ties (parallel global channels) go to the lowest (switch id, port). Each
+    switch gives all a*p endnodes of a foreign group one port: its own lowest
+    global port to the group, else the local port toward the group's lowest
+    owning switch. Its own group's block depends only on its index i in the
+    group (attach ports on its own endnodes, a local port per group-mate), so a
+    row is one join of per-group runs of bytes.
+    """
+    par = topology.params
+    a, p = par.a, par.p
+    typecode = _port_typecode(par.radix)
+    runs = [bytes(array(typecode, [port]) * (a * p)) for port in range(par.radix)]
+    # local[i][j]: the port from index i to index j of a group, read off group 0
+    local = [[topology.local_port(i, j) if j != i else None for j in range(a)] for i in range(a)]
+    own = [b"".join(bytes(array(typecode, range(p) if j == i else [port] * p))
+                    for j, port in enumerate(local[i])) for i in range(a)]
     lft = []
-    for s, nprow in enumerate(np_rows):
-        nprow = array(typecode, nprow)
-        row = array(typecode, bytes(n * nprow.itemsize))
-        for k in range(p):
-            row[k::p] = nprow
-        row[s * p:(s + 1) * p] = attach
-        lft.append(row)
+    for gs in range(par.g):
+        egress = []    # per switch of the group: destination group -> lowest global port
+        owner = {}     # destination group -> index of the lowest switch cabled to it
+        for i in range(a):  # each switch's global ports come in ascending order
+            out = {}
+            for port, _, gd in topology.global_ports(gs * a + i):
+                out.setdefault(gd, port)
+                owner.setdefault(gd, i)
+            egress.append(out)
+        for i, out in enumerate(egress):
+            to = local[i]
+            parts = [runs[out[gt] if gt in out else to[owner[gt]]] if gt != gs else own[i]
+                     for gt in range(par.g)]
+            lft.append(array(typecode, b"".join(parts)))
     return lft
 
 
@@ -412,15 +393,16 @@ def route_walk(topology: Topology, config: RoutingConfig, src: int, dst: int):
 # engines
 # ---------------------------------------------------------------------------
 
-def _updn_next_port(topology: Topology) -> list[list[int]]:
-    """Switch-level next-output-port rows for up*/down* routing on a BFS
-    spanning tree rooted at the lowest switch id.
+def _updn_lft(topology: Topology) -> list[array]:
+    """Endnode-level LFT rows for up*/down* routing on a BFS spanning tree
+    rooted at the lowest switch id.
 
-    Links are oriented by (tree level, switch id); a route may climb zero or
-    more up channels, then descend zero or more down channels, and never turns
-    back up. Per destination, every switch with an all-down path commits to the
-    shortest one; the rest climb toward the cheapest committed switch. This
-    keeps destination-based forwarding consistent with the up*/down* rule.
+    Links are oriented by rank, the position in (tree level, switch id) order;
+    a route may climb zero or more up channels, then descend zero or more down
+    channels, and never turns back up. Per destination, every switch with an
+    all-down path commits to the shortest one; the rest climb toward the
+    cheapest committed switch. This keeps destination-based forwarding
+    consistent with the up*/down* rule.
 
     Each switch works on destination sets, ints with bit d set for destination
     switch d. cost[v][c] holds the destinations v reaches at cost c hops and
@@ -430,6 +412,12 @@ def _updn_next_port(topology: Topology) -> list[list[int]]:
     neighbours first: each destination outside every ring costs one more than
     the least cost among the up-neighbours. Either pass gives a destination to
     the lowest-id neighbour that holds it at the least cost.
+
+    A row is packed by port bit plane: plane b is the union of the sets whose
+    port has bit b set, spread so that destination d's bit lands in lane d, one
+    row item wide. The planes' sum is the switch-level row as bytes, little-
+    endian; strided slice fills copy it to each switch's p endnodes, and the
+    switch's own endnodes take their attach ports.
     """
     adj = topology.switch_adjacency()
     S = topology.num_switches
@@ -446,12 +434,12 @@ def _updn_next_port(topology: Topology) -> list[list[int]]:
     if any(lv < 0 for lv in level):
         raise UnsupportedTopology("switch graph is disconnected")
 
-    def rank(v):
-        return (level[v], v)
-
-    up_nbrs = [sorted(u for u in adj[v] if rank(u) < rank(v)) for v in range(S)]
-    down_nbrs = [sorted(u for u in adj[v] if rank(u) > rank(v)) for v in range(S)]
-    by_rank = sorted(range(S), key=rank)
+    by_rank = sorted(range(S), key=level.__getitem__)  # a stable sort keeps ids in order
+    rank = [0] * S
+    for r, v in enumerate(by_rank):
+        rank[v] = r
+    up_nbrs = [sorted(u for u in adj[v] if rank[u] < rank[v]) for v in range(S)]
+    down_nbrs = [sorted(u for u in adj[v] if rank[u] > rank[v]) for v in range(S)]
 
     cost: list[list[int]] = [[] for _ in range(S)]
     via: list[dict[int, int]] = [{} for _ in range(S)]
@@ -488,12 +476,11 @@ def _updn_next_port(topology: Topology) -> list[list[int]]:
                 cv.extend([0] * (c + 1 - len(cv)))
                 cv[c] |= got
 
-    # Pack each row from its per-neighbour sets: destination d's port sits in
-    # byte lane d, wide enough for every port below the radix.
-    lane = 1
-    while topology.params.radix > 256 ** lane:
-        lane *= 2
-    unpack = struct.Struct(f"<{S}{'BHIQ'[lane.bit_length() - 1]}").unpack
+    radix, p = topology.params.radix, topology.params.p
+    typecode = _port_typecode(radix)
+    lane = array(typecode).itemsize
+    nbits = (radix - 1).bit_length()
+    bits = [[b for b in range(nbits) if port >> b & 1] for port in range(radix)]
     digits = f"0{S}b"
     lanes = bytearray(S * lane)
     lanes[lane - 1::lane] = b"0" * S
@@ -504,14 +491,25 @@ def _updn_next_port(topology: Topology) -> list[list[int]]:
         lanes[lane - 1::lane] = format(dests, digits).encode()
         return int.from_bytes(lanes, "big") - zero
 
-    rows = []
+    attach = array(typecode, range(p))
+    lft = []
     for v in range(S):
         ports = adj[v]
-        packed = sum(ports[u][0] * spread(dests) for u, dests in via[v].items())
-        row = list(unpack(packed.to_bytes(S * lane, "little")))
-        row[v] = -1
-        rows.append(row)
-    return rows
+        masks = [0] * nbits
+        for u, dests in via[v].items():
+            for b in bits[ports[u][0]]:
+                masks[b] |= dests
+        packed = sum(spread(mask) << b for b, mask in enumerate(masks) if mask)
+        nprow = packed.to_bytes(S * lane, "little")
+        wide = bytearray(topology.num_endnodes * lane)  # bytearray: faster strided fills
+        for k in range(p * lane):  # byte k % lane of every item to endnode k // lane of each switch
+            wide[k::p * lane] = nprow[k % lane::lane]
+        row = array(typecode, wide)
+        if sys.byteorder == "big":
+            row.byteswap()
+        row[v * p:(v + 1) * p] = attach
+        lft.append(row)
+    return lft
 
 
 # What differs between engines: (minimal Dragonfly routes, else up*/down*;
@@ -545,12 +543,12 @@ def synthesize(topology: Topology, engine: str, groups: tuple[int, ...] | None =
             raise UnsupportedTopology(
                 f"a grouping of {len(groups)} switches does not fit a topology of "
                 f"{topology.num_switches} switches in {topology.params.g} groups")
-        np_table = _minimal_next_port(topology)
+        lft = _minimal_lft(topology)
     else:
-        np_table = _updn_next_port(topology)
+        lft = _updn_lft(topology)
     return RoutingConfig(
         engine=engine,
-        lft=_expand_lft(topology, np_table),
+        lft=lft,
         sl2vl=_kind_tables(topology, vl_row if vl_shift else lambda out_kind, in_kind: _ZERO_ROW),
         sl_groups=group if group_sls else (0,) * topology.num_switches,
         vl_shift_disabled=not vl_shift,

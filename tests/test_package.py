@@ -12,8 +12,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dflysim"
 # package's fresh import is most of a short benchmark run's setup time
 IMPORTED = {
     "__future__", "argparse", "array", "collections", "concurrent", "dataclasses",
-    "hashlib", "heapq", "itertools", "json", "math", "operator", "os", "random",
-    "struct", "sys",
+    "hashlib", "heapq", "itertools", "json", "math", "os", "random", "sys",
 }
 
 

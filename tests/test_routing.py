@@ -530,14 +530,20 @@ def test_synthesize_matches_the_per_pair_reference_at_study_sizes(params, varian
     assert got.sl_groups == want.sl_groups
 
 
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v[0] + ("" if v[1] else "-noshift"))
 @pytest.mark.parametrize("params", [
     DragonflyParams(8, 4, 2, 17),   # 136 switches, two global cables per group pair
-    DragonflyParams(2, 1, 254, 3),  # radix 256: the last port still fits one byte
-    DragonflyParams(2, 1, 255, 3),  # radix 257: global port 256 needs a two-byte lane
+    DragonflyParams(2, 1, 126, 3),  # radix 128: the last row of one-byte ports
+    DragonflyParams(2, 1, 127, 3),  # radix 129: the first row of two-byte ports
+    DragonflyParams(1, 1, 128, 2),  # a = 1: no local port, two-byte rows
+    DragonflyParams(2, 1, 254, 3),  # radix 256
+    DragonflyParams(2, 1, 255, 3),  # radix 257: global port 256 needs a ninth bit plane
 ], ids=lambda p: p.label())
-def test_updn_matches_the_per_pair_reference_past_64_switches_and_one_byte_ports(params):
+def test_every_engine_matches_the_per_pair_reference_at_each_row_width(params, variant):
+    engine, vl_shift = variant
     topo = build_topology(params)
-    assert _list_rows(synthesize(topo, "updn")) == reference_synthesize(topo, "updn")
+    assert (_list_rows(synthesize(topo, engine, vl_shift=vl_shift))
+            == reference_synthesize(topo, engine, vl_shift=vl_shift))
 
 
 @pytest.mark.parametrize("params, itemsize", [
@@ -574,12 +580,29 @@ def test_synthesized_lft_keeps_at_most_two_bytes_per_entry():
 PINNED_UPDN_LFT_2550 = "d72181b0124af2d4db5d687ab6dea23d75847b29c734ffd09a0c771830618008"
 
 
-def test_updn_lft_at_2550_endnodes_holds_its_pinned_digest():
-    config = synthesize(build_topology(DragonflyParams(10, 5, 5)), "updn")
+def _lft_digest(config):
     digest = hashlib.sha256()
     for row in config.lft:
         digest.update(bytes(row))
-    assert digest.hexdigest() == PINNED_UPDN_LFT_2550
+    return digest.hexdigest()
+
+
+def test_updn_lft_at_2550_endnodes_holds_its_pinned_digest():
+    config = synthesize(build_topology(DragonflyParams(10, 5, 5)), "updn")
+    assert _lft_digest(config) == PINNED_UPDN_LFT_2550
+
+
+# the same digest over the LFT that dla, shift-disabled dla and d3r share at
+# 2550 endnodes, recorded from the per-switch builder that expanded
+# switch-level next-port rows to endnodes.
+PINNED_MINIMAL_LFT_2550 = "a452035e033135069d000864d363fa26f25eb03c0b1ef369fd644c6cd17b2723"
+
+
+@pytest.mark.parametrize("variant", VARIANTS[:3], ids=lambda v: v[0] + ("" if v[1] else "-noshift"))
+def test_minimal_lft_at_2550_endnodes_holds_its_pinned_digest(variant):
+    engine, vl_shift = variant
+    config = synthesize(build_topology(DragonflyParams(10, 5, 5)), engine, vl_shift=vl_shift)
+    assert _lft_digest(config) == PINNED_MINIMAL_LFT_2550
 
 
 # sha256 of emit_fabric_dump, recorded from the per-endnode builders that
